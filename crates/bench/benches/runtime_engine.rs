@@ -1,12 +1,11 @@
-//! Criterion bench for E8: the event-driven execution engine vs the
-//! legacy topological sweep on wide graphs (≥ 1k tasks, fan-out/fan-in).
+//! Criterion bench for E8: the event-driven execution engine on wide
+//! graphs (≥ 1k tasks, fan-out/fan-in).
 //!
-//! Two things are measured per scenario: how fast each executor *runs*
-//! (simulator overhead — the engine pays for its event queues, the sweep
-//! for its per-task allocations), while the printed `makespan` assertions
-//! in `tests/full_stack.rs` cover the *simulated* quality win. A third
-//! group exercises the incremental ready-set maintenance in
-//! `legato-core` on its own.
+//! Per scenario the bench measures how fast the engine *runs* (simulator
+//! overhead: event queues, placement, report assembly); the exact
+//! simulated makespans are pinned by the `experiments::engine` tests and
+//! `tests/full_stack.rs`. A second group exercises the incremental
+//! ready-set maintenance in `legato-core` on its own.
 //!
 //! Every row declares the scenario's task count as its throughput, so
 //! `BENCH_runtime.json` rows carry `throughput.elements_per_iter` exactly
@@ -14,7 +13,7 @@
 //! stay comparable across PRs.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use legato_bench::experiments::engine::{compare, Scenario};
+use legato_bench::experiments::engine::Scenario;
 use legato_bench::experiments::goals;
 use legato_core::graph::{GraphBuilder, TaskGraph};
 use legato_core::task::{AccessMode, TaskDescriptor, Work};
@@ -38,26 +37,26 @@ fn bench_executors(c: &mut Criterion) {
         ),
     ] {
         let tasks = {
-            let mut rt = Runtime::new(goals::reference_devices(), policy, 42);
+            let mut rt = EngineConfig::new()
+                .with_devices(goals::reference_devices())
+                .with_policy(policy)
+                .with_seed(42)
+                .build()
+                .expect("valid engine config");
             scenario.build(&mut rt, 42) as u64
         };
         g.throughput(Throughput::Elements(tasks));
         g.bench_function(&format!("{name}/event_driven"), |b| {
             b.iter(|| {
-                let mut rt = Runtime::new(goals::reference_devices(), policy, 42);
+                let mut rt = EngineConfig::new()
+                    .with_devices(goals::reference_devices())
+                    .with_policy(policy)
+                    .with_seed(42)
+                    .build()
+                    .expect("valid engine config");
                 scenario.build(&mut rt, 42);
                 rt.run().expect("devices present")
             })
-        });
-        g.bench_function(&format!("{name}/sweep"), |b| {
-            b.iter(|| {
-                let mut rt = Runtime::new(goals::reference_devices(), policy, 42);
-                scenario.build(&mut rt, 42);
-                rt.run_sweep().expect("devices present")
-            })
-        });
-        g.bench_function(&format!("{name}/makespan_comparison"), |b| {
-            b.iter(|| black_box(compare(scenario, policy, 42).speedup()))
         });
     }
     g.finish();
@@ -181,13 +180,23 @@ fn bench_analyze(c: &mut Criterion) {
     };
     g.bench_function("build_100k", |b| {
         b.iter(|| {
-            let mut rt = Runtime::new(devices(), Policy::Performance, 42);
+            let mut rt = EngineConfig::new()
+                .with_devices(devices())
+                .with_policy(Policy::Performance)
+                .with_seed(42)
+                .build()
+                .expect("valid engine config");
             build(&mut rt);
             black_box(rt)
         })
     });
     g.bench_function("analyze_100k", |b| {
-        let mut rt = Runtime::new(devices(), Policy::Performance, 42);
+        let mut rt = EngineConfig::new()
+            .with_devices(devices())
+            .with_policy(Policy::Performance)
+            .with_seed(42)
+            .build()
+            .expect("valid engine config");
         build(&mut rt);
         b.iter(|| black_box(rt.analyze()).error_count())
     });

@@ -22,7 +22,7 @@ use std::process::ExitCode;
 use legato_bench::experiments::{engine, goals, resilience, secure_offload};
 use legato_fti::Strategy;
 use legato_runtime::{
-    AnalysisReport, EnergyConfig, EngineConfig, Policy, ResilienceConfig, Runtime, SecurityConfig,
+    AnalysisReport, EnergyConfig, EngineConfig, Policy, ResilienceConfig, SecurityConfig,
 };
 
 /// One analyzed experiment graph.
@@ -49,7 +49,12 @@ fn analyze_all() -> Vec<Cell> {
             Policy::Weighted(0.5),
         ),
     ] {
-        let mut rt = Runtime::new(goals::reference_devices(), policy, seed);
+        let mut rt = EngineConfig::new()
+            .with_devices(goals::reference_devices())
+            .with_policy(policy)
+            .with_seed(seed)
+            .build()
+            .expect("valid engine config");
         scenario.build(&mut rt, seed);
         cells.push(Cell {
             name,
@@ -59,7 +64,12 @@ fn analyze_all() -> Vec<Cell> {
 
     // The goals app with reliability-critical stages (E7 shape).
     {
-        let mut rt = Runtime::new(goals::reference_devices(), Policy::Weighted(0.5), seed);
+        let mut rt = EngineConfig::new()
+            .with_devices(goals::reference_devices())
+            .with_policy(Policy::Weighted(0.5))
+            .with_seed(seed)
+            .build()
+            .expect("valid engine config");
         goals::build_app(&mut rt, 6, 8, 0.3, seed);
         cells.push(Cell {
             name: "goals/app_6x8_critical",

@@ -1,41 +1,37 @@
-//! E8 — event-driven execution engine vs the legacy topological sweep.
+//! E8 — the event-driven execution engine on wide graphs.
 //!
-//! Two wide-graph scenarios (≥ 1k tasks, fan-out/fan-in) exercise the
-//! difference between scheduling in *submission* order and scheduling in
-//! *readiness* order:
+//! Two wide-graph scenarios (≥ 1k tasks, fan-out/fan-in) exercise
+//! scheduling in *readiness* order when many chains compete for the
+//! same devices:
 //!
 //! * [`Scenario::Wide`] — a scatter task fans out to many independent
 //!   dependency chains of uneven length and work, joined by a gather
-//!   task. Devices saturate, so both executors approach the work-bound
-//!   makespan; the engine's readiness-order placement still wins the
-//!   tail.
+//!   task. Devices saturate, so the makespan approaches the work bound.
 //! * [`Scenario::Straggler`] — the same fan-out/fan-in shell around bulk
-//!   chains *plus a few deep, thin chains submitted last*. The sweep
-//!   commits every bulk task's device window before it even looks at the
-//!   thin chains' roots (ready since the scatter), serializing the
-//!   stragglers behind the bulk; the engine interleaves them from the
-//!   start. This is where the event-driven win is large (≈ 1.5–1.7×
-//!   under the weighted trade-off policy).
+//!   chains *plus a few deep, thin chains submitted last*. Their roots
+//!   are ready from the scatter on, so readiness-order placement
+//!   interleaves them with the bulk from the start instead of queueing
+//!   them behind it.
 //!
-//! [`compare`] runs both executors on identical workloads and reports
-//! makespan and energy side by side; the `runtime_engine` criterion
-//! bench and the full-stack integration tests build on it.
+//! [`MakespanBounds`] gives closed-form bounds any fault-free run of a
+//! built scenario must respect. The `runtime_engine` criterion bench
+//! times the scenarios; the tests here and in `tests/full_stack.rs` pin
+//! their makespans inside those bounds.
 
 use legato_core::requirements::{Criticality, Requirements};
+use legato_core::task::TaskId;
 use legato_core::task::{AccessMode, TaskDescriptor, TaskKind, Work};
-use legato_core::units::{Joule, Seconds};
-use legato_runtime::{Policy, RunReport, Runtime};
+use legato_core::units::Seconds;
+use legato_runtime::Runtime;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-use super::goals::reference_devices;
 
 /// Region carrying the scatter task's fan-out output.
 const SCATTER_REGION: u64 = 0;
 /// First region id used by chains (one private region per chain).
 const CHAIN_REGION_BASE: u64 = 1;
 
-/// A wide-graph workload shape for the executor comparison.
+/// A wide-graph workload shape.
 #[derive(Debug, Clone, Copy)]
 pub enum Scenario {
     /// Saturating fan-out into `chains` uneven chains of mean `depth`.
@@ -131,9 +127,9 @@ impl Scenario {
             Scenario::Wide { chains, depth } => {
                 for c in 0..chains {
                     let d = rng.gen_range((depth / 2).max(1)..=depth * 2);
-                    // Heavier work on earlier chains: the sweep commits
-                    // these far into the future before looking at later,
-                    // lighter chains.
+                    // Heavier work on earlier chains: a submission-order
+                    // placer would commit these far into the future
+                    // before looking at later, lighter chains.
                     let scale = 1.0 + 4.0 * (chains - c) as f64 / chains as f64;
                     tasks += chain(
                         rt,
@@ -166,7 +162,7 @@ impl Scenario {
                 // The stragglers: long serial chains of mid-size tasks,
                 // submitted after every bulk task. Their per-task work is
                 // big enough that parking them on the slowest device is
-                // never worthwhile — the sweep has no escape hatch.
+                // never worthwhile.
                 for _ in 0..thin_chains {
                     tasks += chain(
                         rt,
@@ -192,73 +188,83 @@ impl Scenario {
     }
 }
 
-/// Makespan and energy of one executor on a scenario.
-#[derive(Debug, Clone)]
-pub struct ExecutorRow {
-    /// `"event-driven"` or `"topological sweep"`.
-    pub executor: String,
-    /// Completion time of the last task.
-    pub makespan: Seconds,
-    /// Busy energy over the run.
-    pub energy: Joule,
+/// Closed-form makespan bounds for a fault-free run of the tasks
+/// submitted to a runtime, from each task's per-device durations (a task
+/// with `k` replicas joins when the slowest of its `k` devices finishes,
+/// so it takes at least the `k`-th smallest duration).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MakespanBounds {
+    /// Longest dependence path of per-task `k`-th smallest durations: no
+    /// placement finishes sooner.
+    pub critical_path: Seconds,
+    /// Sum over every task of its `k`-th smallest duration. Greedy
+    /// earliest-finish placement under
+    /// [`Policy::Performance`](legato_runtime::Policy::Performance)
+    /// starts each task no later than the fleet's latest busy horizon,
+    /// so it never exceeds this.
+    pub serial_fastest: Seconds,
+    /// Sum over every task of its largest duration: the same argument
+    /// bounds a greedy placement under any policy.
+    pub serial_slowest: Seconds,
 }
 
-/// Side-by-side comparison of the two executors on identical workloads.
-#[derive(Debug, Clone)]
-pub struct EngineComparison {
-    /// Tasks in the graph.
-    pub tasks: usize,
-    /// Policy both executors ran under.
-    pub policy: String,
-    /// Event-driven engine result.
-    pub engine: ExecutorRow,
-    /// Topological sweep result.
-    pub sweep: ExecutorRow,
-}
-
-impl EngineComparison {
-    /// Sweep makespan divided by engine makespan (> 1 means the engine
-    /// wins).
+impl MakespanBounds {
+    /// Bounds for the graph submitted to `rt`, over its devices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the runtime has no devices.
     #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.sweep.makespan.0 / self.engine.makespan.0.max(1e-12)
-    }
-}
-
-/// Build `scenario` twice (identical submissions) and execute it once
-/// with each executor under `policy`.
-#[must_use]
-pub fn compare(scenario: Scenario, policy: Policy, seed: u64) -> EngineComparison {
-    let fresh = || {
-        let mut rt = Runtime::new(reference_devices(), policy, seed);
-        let tasks = scenario.build(&mut rt, seed);
-        (rt, tasks)
-    };
-    let (mut rt_engine, tasks) = fresh();
-    let engine = rt_engine.run().expect("devices present");
-    let (mut rt_sweep, _) = fresh();
-    let sweep = rt_sweep.run_sweep().expect("devices present");
-    let row = |label: &str, rep: &RunReport| ExecutorRow {
-        executor: label.to_string(),
-        makespan: rep.makespan,
-        energy: rep.busy_energy,
-    };
-    EngineComparison {
-        tasks,
-        policy: format!("{policy:?}"),
-        engine: row("event-driven", &engine),
-        sweep: row("topological sweep", &sweep),
+    pub fn of(rt: &Runtime) -> Self {
+        let graph = rt.graph();
+        let mut finish = vec![Seconds::ZERO; graph.len()];
+        let mut bounds = MakespanBounds {
+            critical_path: Seconds::ZERO,
+            serial_fastest: Seconds::ZERO,
+            serial_slowest: Seconds::ZERO,
+        };
+        let mut durations = Vec::with_capacity(rt.devices().len());
+        // Task ids are a topological order: dependences point backwards.
+        for i in 0..graph.len() {
+            let id = TaskId(i as u64);
+            let desc = graph.descriptor(id).expect("id in range");
+            durations.clear();
+            durations.extend(
+                rt.devices()
+                    .iter()
+                    .map(|d| d.spec.time_for(desc.work, desc.kind)),
+            );
+            durations.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let k = desc.requirements.criticality.replica_count();
+            let kth = durations[k.min(durations.len()) - 1];
+            let ready = graph
+                .predecessors(id)
+                .expect("id in range")
+                .iter()
+                .map(|p| finish[p.index()])
+                .fold(Seconds::ZERO, Seconds::max);
+            finish[i] = ready + kth;
+            bounds.critical_path = bounds.critical_path.max(finish[i]);
+            bounds.serial_fastest += kth;
+            bounds.serial_slowest += durations[durations.len() - 1];
+        }
+        bounds
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::goals::reference_devices;
+    use legato_runtime::{EngineConfig, Policy};
 
     #[test]
     fn reference_scenarios_are_wide_enough() {
         for scenario in [Scenario::reference_wide(), Scenario::reference_straggler()] {
-            let mut rt = Runtime::new(reference_devices(), Policy::Performance, 1);
+            let mut rt = EngineConfig::new()
+                .with_devices(reference_devices())
+                .build()
+                .expect("valid engine config");
             let tasks = scenario.build(&mut rt, 42);
             assert!(tasks >= 1000, "need ≥ 1k tasks, built {tasks}");
             // Fan-out/fan-in: only the scatter task is initially ready.
@@ -266,26 +272,66 @@ mod tests {
         }
     }
 
+    /// Runs `scenario` fault-free under `policy`, pins its makespan bit
+    /// for bit (runs are deterministic) and checks it lies inside the
+    /// closed-form [`MakespanBounds`].
+    fn pinned_makespan(scenario: Scenario, policy: Policy, makespan: f64) -> Seconds {
+        let mut rt = EngineConfig::new()
+            .with_devices(reference_devices())
+            .with_policy(policy)
+            .with_seed(42)
+            .build()
+            .expect("valid engine config");
+        scenario.build(&mut rt, 42);
+        let bounds = MakespanBounds::of(&rt);
+        let report = rt.run().expect("devices present");
+        assert!(report.is_correct());
+        assert_eq!(report.makespan.0, makespan, "{scenario:?}");
+        let upper = match policy {
+            Policy::Performance => bounds.serial_fastest,
+            _ => bounds.serial_slowest,
+        };
+        assert!(
+            bounds.critical_path <= report.makespan && report.makespan <= upper,
+            "{scenario:?}: {bounds:?} vs makespan {}",
+            report.makespan
+        );
+        report.makespan
+    }
+
+    /// The level-by-level topological sweep the engine replaced finished
+    /// the wide reference graph in 13.29030343228683 s (recorded with the
+    /// same devices, policy and seed before the sweep was deleted).
     #[test]
     fn engine_beats_sweep_on_saturating_wide_graph() {
-        let cmp = compare(Scenario::reference_wide(), Policy::Performance, 42);
+        const SWEEP_MAKESPAN: f64 = 13.29030343228683;
+        let engine = pinned_makespan(
+            Scenario::reference_wide(),
+            Policy::Performance,
+            13.084341132953236,
+        );
         assert!(
-            cmp.engine.makespan < cmp.sweep.makespan,
-            "event-driven must win: engine {} vs sweep {}",
-            cmp.engine.makespan,
-            cmp.sweep.makespan
+            engine.0 < SWEEP_MAKESPAN,
+            "event-driven must win: engine {engine} vs sweep {SWEEP_MAKESPAN}"
         );
     }
 
+    /// The sweep finished the straggler reference graph in
+    /// 52.19160682687538 s (recorded as above); interleaving stragglers
+    /// with ready work must stay a decisive win over that.
     #[test]
     fn engine_wins_big_on_stragglers() {
-        let cmp = compare(Scenario::reference_straggler(), Policy::Weighted(0.5), 42);
+        const SWEEP_MAKESPAN: f64 = 52.19160682687538;
+        let engine = pinned_makespan(
+            Scenario::reference_straggler(),
+            Policy::Weighted(0.5),
+            30.29919451448777,
+        );
+        let speedup = SWEEP_MAKESPAN / engine.0;
         assert!(
-            cmp.speedup() > 1.3,
-            "straggler interleaving should be a decisive win, got {:.3} ({} vs {})",
-            cmp.speedup(),
-            cmp.engine.makespan,
-            cmp.sweep.makespan
+            speedup > 1.3,
+            "straggler interleaving should be a decisive win, got {speedup:.3} \
+             ({engine} vs {SWEEP_MAKESPAN})"
         );
     }
 }

@@ -8,7 +8,7 @@ use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskKind, Work};
 use legato_core::units::{Bytes, Joule, Seconds};
 use legato_hw::device::DeviceSpec;
 use legato_runtime::ckpt::{full_memory_volume, reduction_factor, task_declared_volume};
-use legato_runtime::{Policy, Runtime};
+use legato_runtime::{EngineConfig, Policy, Runtime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -87,7 +87,12 @@ pub fn policy_comparison(seed: u64) -> Vec<PolicyRow> {
     ]
     .into_iter()
     .map(|(label, policy)| {
-        let mut rt = Runtime::new(reference_devices(), policy, seed);
+        let mut rt = EngineConfig::new()
+            .with_devices(reference_devices())
+            .with_policy(policy)
+            .with_seed(seed)
+            .build()
+            .expect("valid engine config");
         build_app(&mut rt, 6, 8, 0.0, seed);
         let rep = rt.run().expect("devices present");
         PolicyRow {
@@ -142,9 +147,14 @@ pub fn reliability_comparison(fault_prob: f64, trials: u64) -> Vec<ReliabilityRo
         let mut energy = 0.0;
         let mut makespan = 0.0;
         for seed in 0..trials {
-            let mut rt = Runtime::new(reference_devices(), Policy::Performance, seed);
             // The GPU is flaky.
-            rt.set_fault_prob(1, fault_prob);
+            let mut rt = EngineConfig::new()
+                .with_devices(reference_devices())
+                .with_policy(Policy::Performance)
+                .with_seed(seed)
+                .with_fault_prob(1, fault_prob)
+                .build()
+                .expect("valid engine config");
             // Designate critical tasks deterministically per seed, then
             // map to the strategy's effective criticality.
             let mut rng = SmallRng::seed_from_u64(seed ^ 0xC417);

@@ -222,11 +222,11 @@ pub fn run_scenario(scenario: Scenario, mtbf: Seconds, mode: CkptMode, seed: u64
             );
         }
     }
-    let mut rt = cfg.build().expect("valid engine config");
     let p = fault_prob_for_mtbf(mtbf, scenario.mean_task_duration());
-    for i in 0..rt.devices().len() {
-        rt.set_fault_prob(i, p);
+    for i in 0..reference_devices().len() {
+        cfg = cfg.with_fault_prob(i, p);
     }
+    let mut rt = cfg.build().expect("valid engine config");
     scenario.build(&mut rt);
     let report = rt.run().expect("devices present");
     let res = report.resilience.unwrap_or_default();
@@ -267,7 +267,12 @@ mod tests {
     fn scenario_is_wide_enough() {
         let s = Scenario::reference();
         assert!(s.tasks() >= 1000, "need ≥ 1k tasks, got {}", s.tasks());
-        let mut rt = Runtime::new(reference_devices(), Policy::Performance, 1);
+        let mut rt = EngineConfig::new()
+            .with_devices(reference_devices())
+            .with_policy(Policy::Performance)
+            .with_seed(1)
+            .build()
+            .expect("valid engine config");
         s.build(&mut rt);
         assert_eq!(rt.graph().len(), s.tasks());
         assert_eq!(rt.graph().ready().len(), 1, "only the scatter is ready");

@@ -38,7 +38,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::elastic::ElasticPool;
 use crate::error::RuntimeError;
 
 /// How a device leaves the fleet.
@@ -213,14 +212,6 @@ pub struct ChurnConfig {
     ///
     /// [`Scheduler::migrate`]: crate::sched::Scheduler::migrate
     pub hysteresis: f64,
-    /// An [`ElasticPool`] of planned task widths riding on the fleet
-    /// (one core per device). When churn shrinks the surviving fleet
-    /// below the pool's width, the engine re-fits it via
-    /// [`ElasticPool::shrink_to`] so later elastic placements plan at
-    /// the width that actually exists — instead of the stale pre-churn
-    /// width. Arrivals grow it back. `None` (the default) tracks no
-    /// elastic widths.
-    pub elastic: Option<ElasticPool>,
 }
 
 impl ChurnConfig {
@@ -232,21 +223,7 @@ impl ChurnConfig {
             trace,
             defer_window: Seconds(60.0),
             hysteresis: 0.0,
-            elastic: None,
         }
-    }
-
-    /// Attach an [`ElasticPool`] of planned task widths that follows
-    /// the fleet through churn: departures that leave the surviving
-    /// fleet narrower than the pool re-fit it via
-    /// [`ElasticPool::shrink_to`] (counted in
-    /// [`ChurnStats::width_refits`]), and arrivals grow it back by one
-    /// core. Read the live pool through
-    /// [`Runtime::elastic_pool`](crate::runtime::Runtime::elastic_pool).
-    #[must_use]
-    pub fn with_elastic_pool(mut self, pool: ElasticPool) -> Self {
-        self.elastic = Some(pool);
-        self
     }
 
     /// Set the deferral window for placements with no eligible device.
@@ -305,11 +282,6 @@ pub struct ChurnStats {
     /// Execution time of running attempts killed by crashes (the work
     /// the retry or rollback repeats).
     pub wasted_work: Seconds,
-    /// Elastic-width re-fits: departures that left the surviving fleet
-    /// narrower than the attached [`ElasticPool`]'s width, forcing a
-    /// [`ElasticPool::shrink_to`] so later placements stop planning at
-    /// the stale width.
-    pub width_refits: u64,
 }
 
 /// One fleet change as the engine executes it. Trace events become ops
@@ -374,9 +346,6 @@ pub(crate) struct ChurnState {
     pub(crate) departed_at: Vec<Option<Seconds>>,
     /// Placements waiting for a device re-arrival.
     pub(crate) deferred: Vec<DeferredTask>,
-    /// Live copy of the configured elastic width pool, re-fit as the
-    /// fleet churns (the config keeps the pristine original).
-    pub(crate) elastic: Option<ElasticPool>,
     /// Bumped on every fleet change; the static analyzer memoizes the
     /// epoch it last linted so a grown or shrunk fleet re-lints.
     pub(crate) epoch: u64,
@@ -385,7 +354,6 @@ pub(crate) struct ChurnState {
 
 impl ChurnState {
     pub(crate) fn new(config: ChurnConfig, fleet: usize) -> Self {
-        let elastic = config.elastic.clone();
         ChurnState {
             config,
             merged: false,
@@ -396,7 +364,6 @@ impl ChurnState {
             arrived_at: vec![Seconds::ZERO; fleet],
             departed_at: vec![None; fleet],
             deferred: Vec::new(),
-            elastic,
             epoch: 0,
             stats: ChurnStats::default(),
         }
@@ -405,31 +372,6 @@ impl ChurnState {
     /// Number of devices placements may currently target.
     pub(crate) fn available_count(&self) -> usize {
         self.available.iter().filter(|&&a| a).count()
-    }
-
-    /// A departure narrowed the fleet: when the attached elastic pool
-    /// is still wider than the surviving fleet, shrink it to fit (never
-    /// below one core — the trace generator never empties the fleet,
-    /// and a transiently empty mask must not poison the pool). Called
-    /// from the engine's drain *and* crash paths.
-    pub(crate) fn refit_elastic_width(&mut self) {
-        let surviving = self.available_count().max(1);
-        let Some(pool) = &mut self.elastic else {
-            return;
-        };
-        if pool.cores() > surviving {
-            pool.shrink_to(surviving)
-                .expect("surviving >= 1 and < pool width");
-            self.stats.width_refits += 1;
-        }
-    }
-
-    /// An arrival widened the fleet: grow the attached elastic pool by
-    /// one idle core so planned widths track the new capacity.
-    pub(crate) fn grow_elastic_width(&mut self) {
-        if let Some(pool) = &mut self.elastic {
-            pool.grow(1);
-        }
     }
 }
 

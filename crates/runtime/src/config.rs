@@ -1,10 +1,11 @@
-//! The unified engine configuration: one builder for all three pillars.
+//! The engine configuration: the one way to construct a [`Runtime`].
 //!
-//! Historically every pillar grew its own entry point on [`Runtime`]
-//! (`new` for devices/policy/seed, `enable_resilience`,
-//! `configure_security`), and the energy layer would have added a third
-//! mutator. [`EngineConfig`] replaces that accretion with a single
-//! builder:
+//! Devices, policy, seed, fault model and every pillar (resilience,
+//! security, energy, pools, topology, analysis, churn) are set on one
+//! builder and validated together in [`EngineConfig::build`]. A built
+//! runtime has no setters: what it schedules by is fixed at build time,
+//! so no option can bypass validation or change under a run in
+//! progress.
 //!
 //! ```
 //! use legato_core::units::Seconds;
@@ -34,20 +35,24 @@
 //! engine's silent-fault draws and the effective MTBF the resilience
 //! layer plans checkpoints against.
 
-use legato_hw::device::DeviceSpec;
+use legato_core::graph::TaskGraph;
+use legato_hw::device::{Device, DeviceId, DeviceSpec};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 use crate::analyze::{AnalysisConfig, AnalysisState};
 use crate::churn::{ChurnConfig, ChurnState};
 use crate::energy::{EnergyConfig, EnergyObjective, EnergyState};
+use crate::engine::EngineState;
 use crate::error::RuntimeError;
 use crate::pool::{DevicePools, PoolConfig, TopologyConfig, TopologyState};
 use crate::resilience::{ResilienceConfig, ResilienceState};
 use crate::runtime::Runtime;
 use crate::scheduler::Policy;
-use crate::security::SecurityConfig;
+use crate::security::{SecurityConfig, SecurityState};
 
 /// Builder for a fully configured [`Runtime`]: devices, policy, seed,
-/// and the three pillars (resilience, security, energy) in one place.
+/// fault model and every pillar in one place.
 #[derive(Debug, Clone, Default)]
 #[must_use = "builder-style configs do nothing until build() constructs the runtime"]
 pub struct EngineConfig {
@@ -55,6 +60,7 @@ pub struct EngineConfig {
     policy: Option<Policy>,
     seed: u64,
     max_retries: Option<u32>,
+    fault_probs: Vec<(usize, f64)>,
     resilience: Option<ResilienceConfig>,
     security: Option<SecurityConfig>,
     energy: Option<EnergyConfig>,
@@ -99,6 +105,17 @@ impl EngineConfig {
     /// Maximum re-executions after detected faults (default 3).
     pub fn with_max_retries(mut self, retries: u32) -> Self {
         self.max_retries = Some(retries);
+        self
+    }
+
+    /// Set the per-execution silent-fault probability of device
+    /// `device` (e.g. an FPGA run below `Vmin`); every other device
+    /// keeps its default (0, or its energy rung's probability). Later
+    /// calls for the same device win. Validated at
+    /// [`EngineConfig::build`], where the overrides apply after the
+    /// energy layer's operating points.
+    pub fn with_fault_prob(mut self, device: usize, p: f64) -> Self {
+        self.fault_probs.push((device, p));
         self
     }
 
@@ -183,23 +200,28 @@ impl EngineConfig {
     /// With an [`EnergyConfig`], every device spec is derated to its
     /// selected [`OperatingPoint`](legato_hw::device::OperatingPoint)
     /// here, and the rung's fault probability becomes the device's
-    /// initial silent-fault probability (callers may still override it
-    /// with [`Runtime::set_fault_prob`]).
+    /// silent-fault probability. [`EngineConfig::with_fault_prob`]
+    /// overrides then apply on top, in call order. The rung's
+    /// probability, not the override, is what the resilience layer plans
+    /// its checkpoint interval against.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::InvalidWeight`] for an unusable
     /// [`Policy::Weighted`] weight; [`RuntimeError::InvalidParameter`]
-    /// when an energy override names a device or ladder rung that does
-    /// not exist, when a selected rung lies in the crash region (fault
-    /// probability ≥ 1: the run could never accept a result), or when a
-    /// Pareto objective's bound or cap is not a positive finite value.
+    /// when an energy override or a fault probability names a device
+    /// (or an energy override a ladder rung) that does not exist, when a
+    /// fault probability is not a finite value in `[0, 1]`, when a
+    /// selected rung lies in the crash region (fault probability ≥ 1:
+    /// the run could never accept a result), or when a Pareto
+    /// objective's bound or cap is not a positive finite value.
     pub fn build(self) -> Result<Runtime, RuntimeError> {
         let EngineConfig {
             devices,
             policy,
             seed,
             max_retries,
+            fault_probs: fault_overrides,
             resilience,
             security,
             energy,
@@ -266,34 +288,51 @@ impl EngineConfig {
             }
         };
 
-        let mut rt = Runtime::new(devices, policy, seed);
-        if let Some(retries) = max_retries {
-            rt.max_retries = retries;
+        let mut fault_probs = if energy_state.active {
+            energy_state.op_fault_probs.clone()
+        } else {
+            vec![0.0; devices.len()]
+        };
+        for (d, p) in fault_overrides {
+            if d >= devices.len() {
+                return Err(RuntimeError::invalid_parameter(
+                    "fault_probs",
+                    format!("device {d} out of range ({} devices)", devices.len()),
+                ));
+            }
+            if !(p.is_finite() && (0.0..=1.0).contains(&p)) {
+                return Err(RuntimeError::invalid_parameter(
+                    "fault_probs",
+                    format!("device {d}: probability must be in [0, 1], got {p}"),
+                ));
+            }
+            fault_probs[d] = p;
         }
-        if let Some(cfg) = resilience {
-            rt.resilience = Some(ResilienceState::new(cfg));
-        }
-        if let Some(cfg) = security {
-            rt.security.config = cfg;
-        }
-        if energy_state.active {
-            rt.fault_probs.copy_from_slice(&energy_state.op_fault_probs);
-            rt.energy = energy_state;
-        }
-        if let Some(cfg) = pools {
-            rt.pools = Some(DevicePools::new(cfg, &rt.devices)?);
-        }
-        if let Some(cfg) = topology {
-            rt.topology = TopologyState::from_config(cfg);
-        }
-        if let Some(cfg) = analysis {
-            rt.analysis = Some(AnalysisState::new(cfg));
-        }
-        if let Some(cfg) = churn {
-            let fleet = rt.devices.len();
-            rt.churn = Some(ChurnState::new(cfg, fleet));
-        }
-        Ok(rt)
+        let devices: Vec<Device> = devices
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| Device::new(DeviceId(i as u64), s))
+            .collect();
+        let pools = pools
+            .map(|cfg| DevicePools::new(cfg, &devices))
+            .transpose()?;
+        let churn = churn.map(|cfg| ChurnState::new(cfg, devices.len()));
+        Ok(Runtime {
+            devices,
+            fault_probs,
+            graph: TaskGraph::new(),
+            policy,
+            max_retries: max_retries.unwrap_or(3),
+            rng: SmallRng::seed_from_u64(seed),
+            engine: EngineState::default(),
+            resilience: resilience.map(ResilienceState::new),
+            security: SecurityState::new(security.unwrap_or_default()),
+            energy: energy_state,
+            pools,
+            topology: topology.map_or_else(TopologyState::default, TopologyState::from_config),
+            analysis: analysis.map(AnalysisState::new),
+            churn,
+        })
     }
 }
 
@@ -333,7 +372,7 @@ mod tests {
     }
 
     #[test]
-    fn build_defaults_match_runtime_new() {
+    fn build_defaults() {
         let rt = EngineConfig::new()
             .with_devices(specs())
             .build()
@@ -446,5 +485,56 @@ mod tests {
                 "{cfg:?} -> {err}"
             );
         }
+    }
+
+    #[test]
+    fn fault_probabilities_outside_the_fleet_or_unit_interval_are_errors() {
+        for (device, p) in [
+            (3, 0.5),
+            (0, f64::NAN),
+            (0, -0.1),
+            (1, 1.5),
+            (2, f64::INFINITY),
+        ] {
+            let err = EngineConfig::new()
+                .with_devices(specs())
+                .with_fault_prob(device, p)
+                .build()
+                .unwrap_err();
+            assert!(
+                matches!(&err, RuntimeError::InvalidParameter { name, .. } if *name == "fault_probs"),
+                "device {device}, p {p}: {err}"
+            );
+        }
+        let rt = EngineConfig::new()
+            .with_devices(specs())
+            .with_fault_prob(0, 0.0)
+            .with_fault_prob(2, 1.0)
+            .build()
+            .expect("both ends of [0, 1] are valid");
+        assert_eq!(rt.fault_probs, [0.0, 0.0, 1.0]);
+    }
+
+    #[test]
+    fn fault_prob_overrides_apply_after_the_energy_rung() {
+        use legato_hw::device::OperatingPoint;
+        let undervolted = |s: DeviceSpec| {
+            s.with_operating_points(vec![
+                OperatingPoint::nominal(),
+                OperatingPoint::new("uv", 0.6, 1.0, 0.25),
+            ])
+        };
+        let rt = EngineConfig::new()
+            .with_devices(specs().into_iter().map(undervolted).collect())
+            .with_fault_prob(1, 0.5)
+            .with_energy(EnergyConfig::new().with_uniform_step(1))
+            .with_fault_prob(1, 0.75)
+            .build()
+            .expect("valid rung and probabilities");
+        // Device 1's override wins over its rung (later calls win);
+        // the others keep the rung's probability.
+        assert_eq!(rt.fault_probs, [0.25, 0.75, 0.25]);
+        // Checkpoint planning still sees the rung's probabilities.
+        assert_eq!(rt.energy.op_fault_probs, [0.25, 0.25, 0.25]);
     }
 }

@@ -12,8 +12,10 @@
 //!
 //! The pool is malleable: [`ElasticPool::grow`] adds idle cores and
 //! [`ElasticPool::shrink_to`] removes the soonest-free ones, and later
-//! placements re-fit their widths to whatever is left — the elastic
-//! counterpart of the engine-level churn layer ([`crate::churn`]).
+//! placements re-fit their widths to whatever is left. The model is
+//! standalone: the engine places tasks on whole devices and never
+//! consults an elastic pool, and its own malleability lives in
+//! [`crate::churn`].
 //!
 //! Malformed inputs are [`RuntimeError::InvalidParameter`] values, not
 //! panics, matching the fti and secure layers' validation convention.

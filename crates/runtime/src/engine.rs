@@ -1,14 +1,6 @@
 //! The event-driven execution engine behind [`Runtime::run`].
 //!
-//! The original executor was a *topological sweep*: it walked the task
-//! graph in submission order and committed every task's placement before
-//! even looking at the next one. On wide graphs that order is a poor
-//! proxy for time — a task submitted early but ready late would reserve a
-//! device window far in the future, and a task ready *now* (submitted
-//! later) could no longer slot in front of it, because simulated devices
-//! only append to their timelines.
-//!
-//! This module replaces the sweep with a discrete-event simulation:
+//! The engine is a discrete-event simulation:
 //!
 //! * `(time, seq)`-ordered **task-ready** and **replica-finish** events
 //!   drive execution (a device-free moment is exactly the finish event
@@ -20,10 +12,10 @@
 //!   ([`Runtime::submit`] between [`Runtime::step`] calls, or between
 //!   [`Runtime::run`] calls): they join the in-flight schedule at the
 //!   current virtual time;
-//! * the fault model, selective replication, majority voting and the
-//!   retry budget behave exactly as in the sweep — the verdict for each
-//!   attempt is evaluated when its replicas *join* (the finish event),
-//!   and retries restart from that moment;
+//! * under the fault model, selective replication and majority voting,
+//!   the verdict for each attempt is evaluated when its replicas *join*
+//!   (the finish event), and retries restart from that moment, within
+//!   the task's retry budget;
 //! * with [`resilience`](crate::resilience) enabled, periodic
 //!   **checkpoint** events snapshot the completed frontier (task-aware
 //!   volume, FTI-priced), and a task that exhausts its retry budget
@@ -43,16 +35,11 @@
 //! is allowed to allocate where, and the invariants the equivalence
 //! proptests pin.
 //!
-//! **Trade-off, stated honestly:** both executors are greedy
-//! earliest-finish placers over append-only device timelines; they
-//! differ only in commitment order. At saturation and on
-//! straggler-tailed workloads event order wins the *simulated* makespan
-//! decisively, and since the allocation-discipline work the engine also
-//! runs at or below the sweep's own wall-clock (see the `runtime_engine`
-//! bench). On small, under-loaded chain unions, submission order
-//! doubles as a chain-depth priority and can beat plain readiness
-//! order — a future refinement is a critical-path-aware priority on
-//! ready events.
+//! **Trade-off, stated honestly:** placement is a greedy
+//! earliest-finish choice over append-only device timelines, committed
+//! in readiness order. On small, under-loaded chain unions a chain-depth
+//! priority could beat plain readiness order — a future refinement is a
+//! critical-path-aware priority on ready events.
 //!
 //! [`Scheduler`]: crate::sched::Scheduler
 
@@ -375,8 +362,8 @@ impl EngineState {
         }
     }
 
-    /// Drop every queued event (used by the legacy sweep, which executes
-    /// the outstanding tasks itself, and by checkpoint rollback).
+    /// Drop every queued event (checkpoint rollback re-queues the
+    /// restored frontier from scratch).
     pub(crate) fn clear_events(&mut self) {
         self.heap.clear();
         self.ready_queue.clear();
@@ -448,24 +435,25 @@ impl Runtime {
     /// # Errors
     ///
     /// [`RuntimeError::NoDevices`] when the runtime has no devices;
-    /// [`RuntimeError::InvalidWeight`] for an unusable
-    /// [`Policy::Weighted`] weight (validated up front, never a mid-run
-    /// panic); [`RuntimeError::AnalysisFailed`] when static analysis is
+    /// [`RuntimeError::AnalysisFailed`] when static analysis is
     /// configured in enforce mode and found error-severity diagnostics
     /// (also up front — no event dispatches on a refused graph).
     ///
     /// [`Policy`]: crate::scheduler::Policy
-    /// [`Policy::Weighted`]: crate::scheduler::Policy::Weighted
     pub fn run(&mut self) -> Result<RunReport, RuntimeError> {
-        // Same semantics as `while self.step()?.is_some() {}`, with the
-        // per-event entry checks (empty device list, policy weight,
-        // resilience planning) hoisted out of the loop: they are
-        // invariant while the loop owns the runtime, and the loop runs
-        // 2–3 events per simulated task.
+        // Like `while self.step()?.is_some() {}`, with the per-event
+        // entry checks (empty device list, analysis, resilience and churn
+        // planning) hoisted out of the loop, which runs 2–3 events per
+        // simulated task. The hoist differs from stepping in one way:
+        // with analysis and churn both configured, `step` re-lints after
+        // every fleet-epoch bump, while `run` lints once, against the
+        // fleet at the start of the call. So the attached analysis report
+        // can differ, an enforce-mode error that only a churned fleet
+        // raises refuses a stepped run but not this loop, and stepping
+        // pays one full analysis pass per churn event.
         if self.devices.is_empty() {
             return Err(RuntimeError::NoDevices);
         }
-        self.policy.validate()?;
         self.ensure_analyzed()?;
         self.plan_resilience()?;
         self.plan_churn();
@@ -482,7 +470,10 @@ impl Runtime {
     /// This is the streaming interface: callers may interleave
     /// [`Runtime::submit`] with `step` to feed tasks into a run that is
     /// already in progress — newly submitted ready tasks are scheduled at
-    /// the current virtual time.
+    /// the current virtual time. With analysis and churn both
+    /// configured, the first step after each fleet change re-runs the
+    /// analysis pass against the new fleet ([`Runtime::run`] lints once
+    /// per call).
     ///
     /// # Errors
     ///
@@ -491,7 +482,6 @@ impl Runtime {
         if self.devices.is_empty() {
             return Err(RuntimeError::NoDevices);
         }
-        self.policy.validate()?;
         self.ensure_analyzed()?;
         self.plan_resilience()?;
         self.plan_churn();
@@ -857,10 +847,10 @@ impl Runtime {
     }
 
     fn handle_ready(&mut self, task: TaskId, at: Seconds) -> Result<(), RuntimeError> {
-        // Stale events (task already executed by `run_sweep`, or poisoned
-        // by an upstream failure) are dropped, not errors; `try_claim`
-        // answers "still ready?", claims, and returns the descriptor in
-        // one node access.
+        // Stale events (the task is no longer ready, e.g. poisoned by an
+        // upstream failure) are dropped, not errors; `try_claim` answers
+        // "still ready?", claims, and returns the descriptor in one node
+        // access.
         let Some(desc) = self.graph.try_claim(task)? else {
             return Ok(());
         };
@@ -1349,7 +1339,6 @@ impl Runtime {
         churn.departed_at.push(None);
         churn.epoch += 1;
         churn.stats.arrivals += 1;
-        churn.grow_elastic_width();
         self.redispatch_deferred(at)
     }
 
@@ -1399,7 +1388,6 @@ impl Runtime {
         churn.available[device] = false;
         churn.epoch += 1;
         churn.stats.departures += 1;
-        churn.refit_elastic_width();
         churn.ops.push(ChurnOp::DrainComplete { device });
         let slot = (churn.ops.len() - 1) as u32;
         self.engine.heap.push(Reverse(Event {
@@ -1456,7 +1444,6 @@ impl Runtime {
             churn.epoch += 1;
             churn.stats.departures += 1;
             churn.stats.crashes += 1;
-            churn.refit_elastic_width();
         }
         // Tombstone every victim first — their queued finish events
         // no-op, and replacements pushed below reuse only slots that
@@ -1636,7 +1623,7 @@ impl Runtime {
         if estimates.is_empty() {
             return self.defer_placement(task, work, kind, security, measurement, 1, at, attempt);
         }
-        let policy = self.policy.sanitized();
+        let policy = self.policy;
         let norm = if policy.needs_norm() {
             ScoreNorm::from_estimates(&estimates)
         } else {

@@ -9,10 +9,11 @@
 //!   event-driven execution [`engine`] behind [`runtime::Runtime`],
 //!   with streaming submission into a run already in progress;
 //! * **XiTAO-style elastic tasks** — a task is "a parallel computation
-//!   with arbitrary (elastic) resources"; the [`elastic`] module picks the
-//!   resource width that minimizes finish time under Amdahl scaling with
-//!   exclusive core assignment (constructive sharing, interference
-//!   freedom).
+//!   with arbitrary (elastic) resources"; the standalone [`elastic`]
+//!   model picks the resource width that minimizes finish time under
+//!   Amdahl scaling with exclusive core assignment (constructive sharing,
+//!   interference freedom). The engine itself places tasks on whole
+//!   devices.
 //!
 //! On top of scheduling, the runtime implements the fault-tolerance
 //! mechanisms §I assigns to the task model:
@@ -42,8 +43,9 @@
 //! Pareto objectives (min energy under a makespan bound, min makespan
 //! under a power cap) steer placement, and an aggressive rung's fault
 //! probability shortens the checkpoint interval the resilience layer
-//! plans. All pillars are configured through one builder,
-//! [`EngineConfig`].
+//! plans. A [`Runtime`] is only ever built by one builder,
+//! [`EngineConfig`], which validates every pillar together; a built
+//! runtime has no setters.
 //!
 //! The fleet itself is malleable ([`churn`]): a seeded trace of device
 //! arrivals and departures replays into the engine's event order —
@@ -64,14 +66,14 @@
 //! ```
 //! use legato_core::task::{AccessMode, TaskDescriptor, TaskKind, Work};
 //! use legato_hw::device::DeviceSpec;
-//! use legato_runtime::{Policy, Runtime};
+//! use legato_runtime::{EngineConfig, Policy};
 //!
 //! # fn main() -> Result<(), legato_runtime::RuntimeError> {
-//! let mut rt = Runtime::new(
-//!     vec![DeviceSpec::xeon_x86(), DeviceSpec::gtx1080(), DeviceSpec::fpga_kintex()],
-//!     Policy::Weighted(0.5),
-//!     7,
-//! );
+//! let mut rt = EngineConfig::new()
+//!     .with_devices(vec![DeviceSpec::xeon_x86(), DeviceSpec::gtx1080(), DeviceSpec::fpga_kintex()])
+//!     .with_policy(Policy::Weighted(0.5))
+//!     .with_seed(7)
+//!     .build()?;
 //! let frame = rt.submit(
 //!     TaskDescriptor::named("detect")
 //!         .with_kind(TaskKind::Inference)

@@ -176,7 +176,7 @@ pub fn undervolt_ablation(
     tasks: usize,
     trials: u64,
 ) -> Vec<LowVoltRow> {
-    use crate::runtime::Runtime;
+    use crate::config::EngineConfig;
     use crate::scheduler::Policy;
     use legato_core::requirements::{Criticality, Requirements};
     use legato_core::task::{AccessMode, TaskDescriptor, TaskKind, Work};
@@ -204,13 +204,14 @@ pub fn undervolt_ablation(
             for seed in 0..trials {
                 // CPU (reliable) + two low-voltage FPGA instances (so
                 // triple replication has three distinct devices).
-                let mut rt = Runtime::new(
-                    vec![DeviceSpec::arm64(), op.spec.clone(), op.spec.clone()],
-                    Policy::Energy,
-                    seed,
-                );
-                rt.set_fault_prob(1, op.fault_probability);
-                rt.set_fault_prob(2, op.fault_probability);
+                let mut rt = EngineConfig::new()
+                    .with_devices(vec![DeviceSpec::arm64(), op.spec.clone(), op.spec.clone()])
+                    .with_policy(Policy::Energy)
+                    .with_seed(seed)
+                    .with_fault_prob(1, op.fault_probability)
+                    .with_fault_prob(2, op.fault_probability)
+                    .build()
+                    .expect("probabilities below the crash region");
                 for i in 0..tasks as u64 {
                     rt.submit(
                         TaskDescriptor::named(format!("nn-{i}"))

@@ -347,11 +347,6 @@ impl DevicePools {
         self.dirty[self.shard_of[d]] = true;
     }
 
-    /// Every cached minimum is stale (device reset, sweep execution).
-    pub(crate) fn mark_all_dirty(&mut self) {
-        self.dirty.iter_mut().for_each(|f| *f = true);
-    }
-
     /// Grow the structures for an arriving device `d` (which must be the
     /// next index, i.e. `devices` already holds it at the end): re-dedupe
     /// its spec against the existing classes, join an existing
@@ -456,7 +451,6 @@ impl DevicePools {
         extras: Option<&[Seconds]>,
         out: &mut [(usize, Seconds, Seconds)],
     ) -> (usize, u64) {
-        let policy = policy.sanitized();
         let want = out.len().min(devices.len()).min(MAX_REPLICAS);
         if want == 0 {
             return (0, 0);

@@ -1,27 +1,22 @@
 //! The OmpSs-style dataflow runtime over simulated heterogeneous devices.
 //!
-//! Execution is driven by the event-driven engine in
-//! [`engine`](crate::engine); the legacy topological sweep is kept as
-//! [`Runtime::run_sweep`] so its schedules can be compared against the
-//! engine's (the `runtime_engine` bench and the full-stack tests do
-//! exactly that).
+//! A [`Runtime`] is built by [`EngineConfig::build`](crate::config::EngineConfig::build)
+//! and executed by the event-driven engine in [`engine`](crate::engine).
 
 use legato_core::graph::{TaskGraph, TaskState};
 use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskId};
 use legato_core::units::{Joule, Seconds};
-use legato_hw::device::{Device, DeviceId, DeviceSpec};
+use legato_hw::device::Device;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::analyze::{self, AnalysisConfig, AnalysisContext, AnalysisReport, AnalysisState};
 use crate::churn::{ChurnState, ChurnStats};
-use crate::elastic::ElasticPool;
 use crate::energy::{EnergyState, EnergyStats};
 use crate::engine::EngineState;
 use crate::error::RuntimeError;
 use crate::pool::{DevicePools, TopologyState};
-use crate::replication::{vote, ReplicaResult, ReplicationStats, Verdict};
+use crate::replication::ReplicationStats;
 use crate::resilience::{ResilienceState, ResilienceStats, RollbackEvent};
 use crate::scheduler::Policy;
 use crate::security::{SecurityState, SecurityStats};
@@ -37,22 +32,6 @@ pub struct ReplicaDevices {
 }
 
 impl ReplicaDevices {
-    /// Build from a slice of device indices (primary replica first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `devices` exceeds
-    /// [`MAX_REPLICAS`](crate::replication::MAX_REPLICAS) entries.
-    #[must_use]
-    pub fn from_slice(devices: &[usize]) -> Self {
-        let mut inline = [0usize; crate::replication::MAX_REPLICAS];
-        inline[..devices.len()].copy_from_slice(devices);
-        ReplicaDevices {
-            devices: inline,
-            len: devices.len() as u8,
-        }
-    }
-
     /// The device indices as a slice (primary replica first).
     #[must_use]
     pub fn as_slice(&self) -> &[usize] {
@@ -182,33 +161,6 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Create a runtime over `specs` with a scheduling `policy` and a
-    /// deterministic `seed` for the fault model.
-    #[must_use]
-    pub fn new(specs: Vec<DeviceSpec>, policy: Policy, seed: u64) -> Self {
-        let devices = specs
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| Device::new(DeviceId(i as u64), s))
-            .collect::<Vec<_>>();
-        Runtime {
-            fault_probs: vec![0.0; devices.len()],
-            devices,
-            graph: TaskGraph::new(),
-            policy,
-            max_retries: 3,
-            rng: SmallRng::seed_from_u64(seed),
-            engine: EngineState::default(),
-            resilience: None,
-            security: SecurityState::default(),
-            energy: EnergyState::default(),
-            pools: None,
-            topology: TopologyState::default(),
-            analysis: None,
-            churn: None,
-        }
-    }
-
     /// Run the static analyzer over the current graph and pillar
     /// configuration, returning the report without touching engine
     /// state. Uses the configured [`AnalysisConfig`] when the runtime
@@ -272,16 +224,6 @@ impl Runtime {
         self.resilience.as_ref().map_or(&[], |r| r.trace.as_slice())
     }
 
-    /// The elastic-width pool tracked alongside device churn, re-fitted
-    /// whenever a departure or crash leaves the surviving fleet narrower
-    /// than its planned width
-    /// ([`ChurnConfig::with_elastic_pool`](crate::churn::ChurnConfig::with_elastic_pool)).
-    /// `None` when churn is disabled or no pool was attached.
-    #[must_use]
-    pub fn elastic_pool(&self) -> Option<&ElasticPool> {
-        self.churn.as_ref().and_then(|c| c.elastic.as_ref())
-    }
-
     /// Virtual time at which the last checkpoint (the current restore
     /// target) was committed; `None` before the first run plans its
     /// interval or when resilience is disabled.
@@ -308,28 +250,6 @@ impl Runtime {
     #[must_use]
     pub fn policy(&self) -> Policy {
         self.policy
-    }
-
-    /// Change the scheduling policy (affects tasks not yet run).
-    pub fn set_policy(&mut self, policy: Policy) {
-        self.policy = policy;
-    }
-
-    /// Set the per-execution fault probability of device `idx` (silent
-    /// data corruption model, e.g. an FPGA run below `Vmin`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range or `p` not in `[0, 1]`.
-    pub fn set_fault_prob(&mut self, idx: usize, p: f64) {
-        assert!(idx < self.devices.len(), "device {idx} out of range");
-        assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
-        self.fault_probs[idx] = p;
-    }
-
-    /// Maximum re-executions after detected faults (default 3).
-    pub fn set_max_retries(&mut self, retries: u32) {
-        self.max_retries = retries;
     }
 
     /// Submit a task with data-access annotations; returns its id.
@@ -459,210 +379,6 @@ impl Runtime {
     pub fn devices(&self) -> &[Device] {
         &self.devices
     }
-
-    /// Execute every outstanding task with the **legacy topological
-    /// sweep** and return the report.
-    ///
-    /// This is the pre-engine executor, kept as the comparison baseline:
-    /// it walks the graph in topological (submission) order and commits
-    /// every task's placement in that order, so a task that is ready
-    /// early but submitted late cannot slot in front of already-committed
-    /// device time. [`Runtime::run`] (the event-driven engine) schedules
-    /// in event order instead and never does worse on dependency chains —
-    /// the `runtime_engine` bench quantifies the gap on wide graphs.
-    ///
-    /// The sweep bypasses the persistent engine: its report covers
-    /// exactly the tasks it executed, and the engine's queued events for
-    /// those tasks are discarded (the sweep drains the graph, so
-    /// [`Runtime::has_pending_events`] stays honest afterwards). The
-    /// security layer is engine-only: rather than silently skipping
-    /// enclave placement and seal accounting, the sweep refuses to run
-    /// once any confidential task has been submitted — use
-    /// [`Runtime::run`] for confidential workloads.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::NoDevices`] when the runtime has no devices;
-    /// [`RuntimeError::InvalidWeight`] for an unusable
-    /// [`Policy::Weighted`] weight; [`RuntimeError::Security`] when a
-    /// confidential task has been submitted (the sweep cannot honour
-    /// confidentiality and will not pretend to).
-    pub fn run_sweep(&mut self) -> Result<RunReport, RuntimeError> {
-        if self.devices.is_empty() {
-            return Err(RuntimeError::NoDevices);
-        }
-        self.policy.validate()?;
-        if self.security.active {
-            return Err(RuntimeError::Security(
-                "the topological sweep is security-unaware; use run() for workloads \
-                 with confidential tasks"
-                    .into(),
-            ));
-        }
-        if self.energy.objective.is_some() {
-            // Rung selection (baked into the specs) is honest in the
-            // sweep, but a Pareto objective steers placement and only
-            // the engine implements it.
-            return Err(RuntimeError::invalid_parameter(
-                "objective",
-                "the topological sweep ignores Pareto objectives; use run() for \
-                 energy-objective workloads",
-            ));
-        }
-        if self.churn.is_some() {
-            // The sweep has no event order to merge churn into; it would
-            // silently run on the build-time fleet.
-            return Err(RuntimeError::invalid_parameter(
-                "churn",
-                "the topological sweep ignores device churn; use run() for \
-                 malleable fleets",
-            ));
-        }
-        // The sweep executes every outstanding task itself; any ready
-        // events the engine queued for them would be stale no-ops.
-        self.engine.clear_events();
-        let n = self.graph.len();
-        let mut finish_at = vec![Seconds::ZERO; n];
-        let mut placements = Vec::new();
-        let mut stats = ReplicationStats::default();
-        let mut failed = Vec::new();
-
-        for task in self.graph.topological_order() {
-            match self.graph.state(task)? {
-                TaskState::Poisoned | TaskState::Failed | TaskState::Completed => continue,
-                _ => {}
-            }
-            let desc = self.graph.descriptor(task)?.clone();
-            let ready = self
-                .graph
-                .predecessors(task)?
-                .iter()
-                .map(|p| finish_at[p.index()])
-                .fold(Seconds::ZERO, Seconds::max);
-
-            let replicas = desc
-                .requirements
-                .criticality
-                .replica_count()
-                .min(self.devices.len());
-            if replicas == 1 {
-                stats.unreplicated += 1;
-            } else {
-                stats.replica_executions += (replicas - 1) as u64;
-            }
-            let golden = golden_value(task);
-
-            let mut attempt_start = ready;
-            let mut accepted: Option<(Vec<usize>, Seconds, Seconds, bool)> = None;
-            for attempt in 0..=self.max_retries {
-                let ranking = self
-                    .policy
-                    .rank(&self.devices, desc.work, desc.kind, attempt_start);
-                let chosen: Vec<usize> = ranking.into_iter().take(replicas).collect();
-                let mut results = Vec::with_capacity(chosen.len());
-                let mut start = Seconds(f64::INFINITY);
-                let mut finish = Seconds::ZERO;
-                for &d in &chosen {
-                    let (s, f) = self.devices[d].execute(attempt_start, desc.work, desc.kind);
-                    if let Some(pools) = &mut self.pools {
-                        pools.mark_dirty(d);
-                    }
-                    start = start.min(s);
-                    finish = finish.max(f);
-                    let faulty = self.rng.gen_range(0.0..1.0) < self.fault_probs[d];
-                    let value = if faulty {
-                        // Corrupt deterministically per draw but never equal
-                        // to golden.
-                        ReplicaResult(golden ^ (1 + self.rng.gen_range(0..u64::MAX - 1)))
-                    } else {
-                        ReplicaResult(golden)
-                    };
-                    results.push(value);
-                }
-                match vote(&results) {
-                    Verdict::Accept(v) => {
-                        let correct = v.0 == golden;
-                        if !correct {
-                            stats.silent_corruptions += 1;
-                        }
-                        accepted = Some((chosen, start, finish, correct));
-                        break;
-                    }
-                    Verdict::Masked(v) => {
-                        stats.masked += 1;
-                        accepted = Some((chosen, start, finish, v.0 == golden));
-                        break;
-                    }
-                    Verdict::Retry => {
-                        stats.detected += 1;
-                        if attempt < self.max_retries {
-                            stats.retries += 1;
-                            attempt_start = finish;
-                        }
-                    }
-                }
-            }
-
-            match accepted {
-                Some((devices, start, finish, correct)) => {
-                    finish_at[task.index()] = finish;
-                    self.graph.complete(task)?;
-                    placements.push(TaskOutcome {
-                        task,
-                        devices: ReplicaDevices::from_slice(&devices),
-                        start,
-                        finish,
-                        correct,
-                    });
-                }
-                None => {
-                    failed.push(task);
-                    self.graph.fail(task)?;
-                }
-            }
-        }
-
-        let makespan = finish_at.iter().copied().fold(Seconds::ZERO, Seconds::max);
-        let busy_energy: Joule = self.devices.iter().map(|d| d.meter().total()).sum();
-        let idle_energy: Joule = self
-            .devices
-            .iter()
-            .map(|d| {
-                let idle_time = (makespan - d.meter().elapsed()).max(Seconds::ZERO);
-                d.spec.idle_power * idle_time
-            })
-            .sum();
-        Ok(RunReport {
-            makespan,
-            busy_energy,
-            total_energy: busy_energy + idle_energy,
-            placements,
-            stats,
-            failed,
-            // The sweep ignores resilience mode entirely, so reporting
-            // its counters here would imply coverage it does not have.
-            resilience: None,
-            security: None,
-            energy: self
-                .energy
-                .active
-                .then(|| self.energy.stats(busy_energy, idle_energy, makespan)),
-            // Likewise: the sweep never runs the analyzer, and churn is
-            // refused above.
-            analysis: None,
-            churn: None,
-        })
-    }
-
-    /// Reset device availability and meters (keeps the graph).
-    pub fn reset_devices(&mut self) {
-        for d in &mut self.devices {
-            d.reset();
-        }
-        if let Some(pools) = &mut self.pools {
-            pools.mark_all_dirty();
-        }
-    }
 }
 
 /// The golden (fault-free) result value of a task: a SplitMix64 hash of
@@ -677,8 +393,10 @@ pub(crate) fn golden_value(task: TaskId) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::EngineConfig;
     use legato_core::requirements::{Criticality, Requirements};
     use legato_core::task::{TaskKind, Work};
+    use legato_hw::device::DeviceSpec;
 
     fn specs() -> Vec<DeviceSpec> {
         vec![
@@ -686,6 +404,19 @@ mod tests {
             DeviceSpec::gtx1080(),
             DeviceSpec::fpga_kintex(),
         ]
+    }
+
+    fn config(specs: Vec<DeviceSpec>, policy: Policy, seed: u64) -> EngineConfig {
+        EngineConfig::new()
+            .with_devices(specs)
+            .with_policy(policy)
+            .with_seed(seed)
+    }
+
+    fn build(specs: Vec<DeviceSpec>, policy: Policy, seed: u64) -> Runtime {
+        config(specs, policy, seed)
+            .build()
+            .expect("valid engine config")
     }
 
     fn chain(rt: &mut Runtime, n: usize, crit: Criticality) -> Vec<TaskId> {
@@ -704,7 +435,7 @@ mod tests {
 
     #[test]
     fn empty_runtime_runs_empty_report() {
-        let mut rt = Runtime::new(specs(), Policy::Performance, 1);
+        let mut rt = build(specs(), Policy::Performance, 1);
         let rep = rt.run().unwrap();
         assert_eq!(rep.makespan, Seconds::ZERO);
         assert!(rep.placements.is_empty());
@@ -713,25 +444,22 @@ mod tests {
 
     #[test]
     fn no_devices_is_an_error() {
-        let mut rt = Runtime::new(vec![], Policy::Performance, 1);
+        let mut rt = build(vec![], Policy::Performance, 1);
         assert_eq!(rt.run(), Err(RuntimeError::NoDevices));
-        let mut rt = Runtime::new(vec![], Policy::Performance, 1);
-        assert_eq!(rt.run_sweep(), Err(RuntimeError::NoDevices));
+        assert_eq!(rt.step(), Err(RuntimeError::NoDevices));
     }
 
     #[test]
     fn invalid_weight_is_an_error_not_a_panic() {
-        let mut rt = Runtime::new(specs(), Policy::Weighted(2.0), 1);
-        chain(&mut rt, 2, Criticality::Normal);
-        assert_eq!(rt.run(), Err(RuntimeError::InvalidWeight(2.0)));
-        let mut rt = Runtime::new(specs(), Policy::Weighted(-0.5), 1);
-        chain(&mut rt, 2, Criticality::Normal);
-        assert_eq!(rt.run_sweep(), Err(RuntimeError::InvalidWeight(-0.5)));
+        for w in [2.0, -0.5] {
+            let err = config(specs(), Policy::Weighted(w), 1).build().unwrap_err();
+            assert_eq!(err, RuntimeError::InvalidWeight(w));
+        }
     }
 
     #[test]
     fn chain_executes_in_order() {
-        let mut rt = Runtime::new(specs(), Policy::Performance, 1);
+        let mut rt = build(specs(), Policy::Performance, 1);
         chain(&mut rt, 5, Criticality::Normal);
         let rep = rt.run().unwrap();
         assert_eq!(rep.placements.len(), 5);
@@ -743,7 +471,7 @@ mod tests {
 
     #[test]
     fn independent_tasks_spread_across_devices() {
-        let mut rt = Runtime::new(specs(), Policy::Performance, 1);
+        let mut rt = build(specs(), Policy::Performance, 1);
         for i in 0..6u64 {
             rt.submit(
                 TaskDescriptor::named("p").with_work(Work::flops(5e10)),
@@ -759,7 +487,7 @@ mod tests {
     #[test]
     fn energy_policy_cuts_energy_vs_performance_policy() {
         let build = |policy| {
-            let mut rt = Runtime::new(specs(), policy, 1);
+            let mut rt = build(specs(), policy, 1);
             for i in 0..12u64 {
                 rt.submit(
                     TaskDescriptor::named("nn")
@@ -783,7 +511,7 @@ mod tests {
 
     #[test]
     fn critical_tasks_replicate_on_distinct_devices() {
-        let mut rt = Runtime::new(specs(), Policy::Performance, 1);
+        let mut rt = build(specs(), Policy::Performance, 1);
         rt.submit(
             TaskDescriptor::named("crit")
                 .with_work(Work::flops(1e9))
@@ -800,10 +528,12 @@ mod tests {
 
     #[test]
     fn faults_without_replication_are_silent() {
-        let mut rt = Runtime::new(specs(), Policy::Performance, 42);
-        rt.set_fault_prob(0, 1.0);
-        rt.set_fault_prob(1, 1.0);
-        rt.set_fault_prob(2, 1.0);
+        let mut rt = config(specs(), Policy::Performance, 42)
+            .with_fault_prob(0, 1.0)
+            .with_fault_prob(1, 1.0)
+            .with_fault_prob(2, 1.0)
+            .build()
+            .unwrap();
         chain(&mut rt, 4, Criticality::Normal);
         let rep = rt.run().unwrap();
         assert_eq!(rep.stats.silent_corruptions, 4);
@@ -813,9 +543,11 @@ mod tests {
 
     #[test]
     fn triple_replication_masks_single_device_faults() {
-        let mut rt = Runtime::new(specs(), Policy::Performance, 42);
         // Only the GPU is flaky; majority vote should mask it every time.
-        rt.set_fault_prob(1, 1.0);
+        let mut rt = config(specs(), Policy::Performance, 42)
+            .with_fault_prob(1, 1.0)
+            .build()
+            .unwrap();
         chain(&mut rt, 6, Criticality::Critical);
         let rep = rt.run().unwrap();
         assert!(rep.is_correct(), "stats: {:?}", rep.stats);
@@ -825,11 +557,13 @@ mod tests {
 
     #[test]
     fn dual_replication_detects_and_retries() {
-        let mut rt = Runtime::new(specs(), Policy::Performance, 7);
         // Moderate fault rate on the GPU — the fastest device for this
         // work, so it is always in the replica set: mismatches occur but
         // retries eventually succeed.
-        rt.set_fault_prob(1, 0.5);
+        let mut rt = config(specs(), Policy::Performance, 7)
+            .with_fault_prob(1, 0.5)
+            .build()
+            .unwrap();
         chain(&mut rt, 8, Criticality::High);
         let rep = rt.run().unwrap();
         assert!(rep.stats.detected > 0, "stats {:?}", rep.stats);
@@ -838,11 +572,13 @@ mod tests {
 
     #[test]
     fn unmaskable_faults_fail_and_poison() {
-        let mut rt = Runtime::new(specs(), Policy::Performance, 3);
         // Every device always faults: dual replication can never agree.
-        for i in 0..3 {
-            rt.set_fault_prob(i, 1.0);
-        }
+        let mut rt = (0..3)
+            .fold(config(specs(), Policy::Performance, 3), |cfg, i| {
+                cfg.with_fault_prob(i, 1.0)
+            })
+            .build()
+            .unwrap();
         let ids = chain(&mut rt, 3, Criticality::High);
         let rep = rt.run().unwrap();
         assert_eq!(rep.failed, vec![ids[0]]);
@@ -853,7 +589,7 @@ mod tests {
 
     #[test]
     fn total_energy_includes_idle() {
-        let mut rt = Runtime::new(specs(), Policy::Performance, 1);
+        let mut rt = build(specs(), Policy::Performance, 1);
         chain(&mut rt, 3, Criticality::Normal);
         let rep = rt.run().unwrap();
         assert!(rep.total_energy.0 > rep.busy_energy.0);
@@ -862,8 +598,10 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let run = |seed| {
-            let mut rt = Runtime::new(specs(), Policy::Weighted(0.5), seed);
-            rt.set_fault_prob(0, 0.3);
+            let mut rt = config(specs(), Policy::Weighted(0.5), seed)
+                .with_fault_prob(0, 0.3)
+                .build()
+                .unwrap();
             chain(&mut rt, 10, Criticality::High);
             rt.run().unwrap()
         };
@@ -871,20 +609,8 @@ mod tests {
     }
 
     #[test]
-    fn reset_devices_clears_meters() {
-        let mut rt = Runtime::new(specs(), Policy::Performance, 1);
-        chain(&mut rt, 2, Criticality::Normal);
-        let _ = rt.run().unwrap();
-        rt.reset_devices();
-        assert!(rt
-            .devices()
-            .iter()
-            .all(|d| d.meter().total() == Joule::ZERO));
-    }
-
-    #[test]
     fn streaming_submission_joins_run_in_progress() {
-        let mut rt = Runtime::new(specs(), Policy::Performance, 1);
+        let mut rt = build(specs(), Policy::Performance, 1);
         let first = chain(&mut rt, 3, Criticality::Normal);
         // Drive the run partway: two events (first ready + first finish).
         assert!(rt.step().unwrap().is_some());
@@ -932,7 +658,7 @@ mod tests {
 
     #[test]
     fn repeated_runs_extend_the_same_report() {
-        let mut rt = Runtime::new(specs(), Policy::Performance, 1);
+        let mut rt = build(specs(), Policy::Performance, 1);
         chain(&mut rt, 2, Criticality::Normal);
         let first = rt.run().unwrap();
         assert_eq!(first.placements.len(), 2);
@@ -945,35 +671,12 @@ mod tests {
 
     #[test]
     fn step_on_idle_engine_returns_none() {
-        let mut rt = Runtime::new(specs(), Policy::Performance, 1);
+        let mut rt = build(specs(), Policy::Performance, 1);
         assert_eq!(rt.step().unwrap(), None);
         chain(&mut rt, 1, Criticality::Normal);
         while rt.step().unwrap().is_some() {}
         assert_eq!(rt.step().unwrap(), None);
         assert_eq!(rt.now(), rt.report().makespan);
-    }
-
-    #[test]
-    fn sweep_still_executes_everything() {
-        let mut rt = Runtime::new(specs(), Policy::Performance, 1);
-        chain(&mut rt, 5, Criticality::Normal);
-        let rep = rt.run_sweep().unwrap();
-        assert_eq!(rep.placements.len(), 5);
-        assert!(rep.is_correct());
-        assert!(rt.graph().is_complete());
-    }
-
-    #[test]
-    fn sweep_discards_queued_engine_events() {
-        let mut rt = Runtime::new(specs(), Policy::Performance, 1);
-        chain(&mut rt, 3, Criticality::Normal);
-        assert!(rt.has_pending_events());
-        let _ = rt.run_sweep().unwrap();
-        assert!(
-            !rt.has_pending_events(),
-            "sweep must not leave phantom events behind"
-        );
-        assert_eq!(rt.step().unwrap(), None);
     }
 
     fn resilient_config(mtbf: f64) -> crate::resilience::ResilienceConfig {
@@ -987,15 +690,19 @@ mod tests {
     fn resilient_rt(
         seed: u64,
         policy: Policy,
-        config: crate::resilience::ResilienceConfig,
+        resilience: crate::resilience::ResilienceConfig,
     ) -> Runtime {
-        crate::config::EngineConfig::new()
-            .with_devices(specs())
-            .with_policy(policy)
-            .with_seed(seed)
-            .with_resilience(config)
+        resilient_cfg(seed, policy, resilience)
             .build()
             .expect("valid engine config")
+    }
+
+    fn resilient_cfg(
+        seed: u64,
+        policy: Policy,
+        resilience: crate::resilience::ResilienceConfig,
+    ) -> EngineConfig {
+        config(specs(), policy, seed).with_resilience(resilience)
     }
 
     /// A serial chain of seconds-scale tasks (the resilience tests need
@@ -1043,11 +750,13 @@ mod tests {
             if resilient {
                 cfg = cfg.with_resilience(resilient_config(5.0).with_max_rollbacks(500));
             }
-            let mut rt = cfg.build().expect("valid engine config");
             // The GPU is the fastest device and always in the replica
             // set; a high fault rate with a tight retry budget exhausts
             // retries on some tasks.
-            rt.set_fault_prob(1, 0.85);
+            let mut rt = cfg
+                .with_fault_prob(1, 0.85)
+                .build()
+                .expect("valid engine config");
             heavy_chain(&mut rt, 12, Criticality::High);
             rt
         };
@@ -1075,16 +784,19 @@ mod tests {
 
     #[test]
     fn rollback_budget_falls_back_to_fail_and_poison() {
-        let mut rt = resilient_rt(
-            3,
-            Policy::Performance,
-            resilient_config(5.0).with_max_rollbacks(4),
-        );
         // Every device always faults: dual replication can never agree,
         // so every rollback replays the same doomed task.
-        for i in 0..3 {
-            rt.set_fault_prob(i, 1.0);
-        }
+        let mut rt = (0..3)
+            .fold(
+                resilient_cfg(
+                    3,
+                    Policy::Performance,
+                    resilient_config(5.0).with_max_rollbacks(4),
+                ),
+                |cfg, i| cfg.with_fault_prob(i, 1.0),
+            )
+            .build()
+            .unwrap();
         let ids = heavy_chain(&mut rt, 3, Criticality::High);
         let rep = rt.run().unwrap();
         assert_eq!(
@@ -1099,9 +811,11 @@ mod tests {
     #[test]
     fn resilient_run_is_deterministic() {
         let run = |seed| {
-            let mut rt = resilient_rt(seed, Policy::Weighted(0.5), resilient_config(5.0));
-            rt.set_fault_prob(1, 0.7);
-            rt.set_max_retries(1);
+            let mut rt = resilient_cfg(seed, Policy::Weighted(0.5), resilient_config(5.0))
+                .with_fault_prob(1, 0.7)
+                .with_max_retries(1)
+                .build()
+                .unwrap();
             heavy_chain(&mut rt, 15, Criticality::High);
             let rep = rt.run().unwrap();
             (rep, rt.rollback_trace().to_vec())
@@ -1157,14 +871,13 @@ mod tests {
             (0..32u64).map(|r| (RegionId(r), Bytes::mib(32))).collect()
         }
 
-        fn secure_rt(seed: u64) -> Runtime {
-            crate::config::EngineConfig::new()
-                .with_devices(specs())
-                .with_policy(Policy::Performance)
-                .with_seed(seed)
+        fn secure_cfg(seed: u64) -> EngineConfig {
+            config(specs(), Policy::Performance, seed)
                 .with_security(SecurityConfig::new().with_region_sizes(sizes()))
-                .build()
-                .expect("valid engine config")
+        }
+
+        fn secure_rt(seed: u64) -> Runtime {
+            secure_cfg(seed).build().expect("valid engine config")
         }
 
         fn submit_leveled(rt: &mut Runtime, region: u64, level: SecurityLevel, kind: TaskKind) {
@@ -1211,7 +924,7 @@ mod tests {
 
         #[test]
         fn no_tee_device_is_a_hard_error() {
-            let mut rt = Runtime::new(
+            let mut rt = build(
                 vec![DeviceSpec::gtx1080(), DeviceSpec::fpga_kintex()],
                 Policy::Performance,
                 1,
@@ -1223,16 +936,6 @@ mod tests {
             let rep = rt.run().expect("graph stays consistent after the error");
             assert_eq!(rep.failed.len(), 1);
             assert!(rep.placements.is_empty());
-        }
-
-        #[test]
-        fn sweep_refuses_confidential_workloads() {
-            let mut rt = secure_rt(1);
-            submit_leveled(&mut rt, 0, SecurityLevel::Confidential, TaskKind::Compute);
-            assert!(
-                matches!(rt.run_sweep(), Err(RuntimeError::Security(_))),
-                "the security-unaware sweep must refuse, not silently degrade"
-            );
         }
 
         #[test]
@@ -1366,8 +1069,7 @@ mod tests {
         #[test]
         fn secure_runs_are_deterministic() {
             let run = |seed| {
-                let mut rt = secure_rt(seed);
-                rt.set_fault_prob(0, 0.3);
+                let mut rt = secure_cfg(seed).with_fault_prob(0, 0.3).build().unwrap();
                 for i in 0..10u64 {
                     let level = match i % 3 {
                         0 => SecurityLevel::Public,
@@ -1383,15 +1085,29 @@ mod tests {
     }
 
     #[test]
-    fn engine_matches_sweep_on_a_single_chain() {
-        let build = |_| {
-            let mut rt = Runtime::new(specs(), Policy::Performance, 9);
-            chain(&mut rt, 12, Criticality::Normal);
-            rt
-        };
-        let sweep = build(()).run_sweep().unwrap();
-        let event = build(()).run().unwrap();
-        assert_eq!(sweep.makespan, event.makespan);
-        assert_eq!(sweep.placements, event.placements);
+    fn engine_places_a_single_chain_by_closed_form() {
+        use crate::sched::{Estimate, Scheduler};
+        let mut rt = build(specs(), Policy::Performance, 9);
+        chain(&mut rt, 12, Criticality::Normal);
+        let rep = rt.run().unwrap();
+        // Fault-free serial chain: every device is idle whenever the next
+        // task becomes ready, so each task lands on the policy's best
+        // device for its own estimate and runs back to back.
+        let (work, kind) = (Work::flops(1e9), TaskKind::Compute);
+        let estimates: Vec<Estimate> = specs()
+            .iter()
+            .map(|s| Estimate::new(s.time_for(work, kind), s.energy_for(work, kind)))
+            .collect();
+        let best = Policy::Performance.place(&estimates).unwrap();
+        let dur = specs()[best].time_for(work, kind);
+        let mut finish = Seconds::ZERO;
+        for p in &rep.placements {
+            assert_eq!(p.devices.as_slice(), [best]);
+            assert_eq!(p.start, finish);
+            finish += dur;
+            assert_eq!(p.finish, finish);
+        }
+        assert_eq!(rep.placements.len(), 12);
+        assert_eq!(rep.makespan, finish);
     }
 }

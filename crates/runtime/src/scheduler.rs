@@ -8,13 +8,13 @@
 //! trade-off HEATS exposes as a knob.
 //!
 //! A [`Policy`] is a [`Scheduler`]: the scoring itself lives in the
-//! shared [`sched`](crate::sched) layer, and the methods here are thin
-//! adapters that turn live [`Device`] state (or bare [`DeviceSpec`]s)
-//! into [`Estimate`]s before delegating to the trait.
+//! shared [`sched`](crate::sched) layer, and the engine's flat placement
+//! scan here turns live [`Device`] state into [`Estimate`]s before
+//! delegating to the trait.
 
 use legato_core::task::{TaskKind, Work};
 use legato_core::units::Seconds;
-use legato_hw::device::{Device, DeviceSpec};
+use legato_hw::device::Device;
 use serde::{Deserialize, Serialize};
 
 use crate::error::RuntimeError;
@@ -34,8 +34,9 @@ pub enum Policy {
     ///
     /// Construct through [`Policy::weighted`] to get the weight validated
     /// up front; a directly-constructed out-of-range weight is reported as
-    /// [`RuntimeError::InvalidWeight`] when a run starts (never a panic
-    /// mid-run).
+    /// [`RuntimeError::InvalidWeight`] by
+    /// [`EngineConfig::build`](crate::config::EngineConfig::build) (never
+    /// a panic mid-run).
     Weighted(f64),
 }
 
@@ -67,44 +68,8 @@ impl Policy {
         }
     }
 
-    /// Pick the best device index for `work` given each device's earliest
-    /// availability. Returns `None` for an empty device list.
-    ///
-    /// An out-of-range `Weighted` weight is clamped into `[0, 1]` here
-    /// (use [`Policy::validate`] to reject it instead).
-    #[must_use]
-    pub fn choose(
-        self,
-        devices: &[Device],
-        work: Work,
-        kind: TaskKind,
-        ready_at: Seconds,
-    ) -> Option<usize> {
-        self.sanitized()
-            .place(&device_estimates(devices, work, kind, ready_at))
-    }
-
-    /// Rank device indices from best to worst under this policy (used by
-    /// replication to pick diverse placements).
-    ///
-    /// An out-of-range `Weighted` weight is clamped into `[0, 1]` here
-    /// (use [`Policy::validate`] to reject it instead).
-    #[must_use]
-    pub fn rank(
-        self,
-        devices: &[Device],
-        work: Work,
-        kind: TaskKind,
-        ready_at: Seconds,
-    ) -> Vec<usize> {
-        Scheduler::rank(
-            &self.sanitized(),
-            &device_estimates(devices, work, kind, ready_at),
-        )
-    }
-
-    /// Top-k device selection for the engine's hot path: semantically
-    /// identical to `device_estimates` + [`Scheduler::select_k`], but
+    /// Top-k device selection for the engine's hot path: one
+    /// [`Estimate`] per candidate device + [`Scheduler::select_k`], where
     /// the expensive per-device roofline evaluation (`time_for`, two
     /// divisions) runs exactly **once** per device: the `(start,
     /// duration)` plan is computed first, estimates derive from it, and
@@ -160,7 +125,6 @@ impl Policy {
         candidates: &mut Vec<usize>,
         out: &mut [(usize, Seconds, Seconds)],
     ) -> usize {
-        let policy = self.sanitized();
         estimates.clear();
         plans.clear();
         candidates.clear();
@@ -198,22 +162,12 @@ impl Policy {
                 candidates,
                 &mut chosen[..want],
             ),
-            None => policy.select_k(estimates, &mut chosen[..want]),
+            None => self.select_k(estimates, &mut chosen[..want]),
         };
         for (slot, &c) in chosen[..k].iter().enumerate() {
             out[slot] = (candidates[c], plans[c].0, plans[c].1);
         }
         k
-    }
-
-    /// A copy of the policy with any `Weighted` weight forced into
-    /// `[0, 1]` (non-finite weights become balanced `0.5`).
-    pub(crate) fn sanitized(self) -> Self {
-        match self {
-            Policy::Weighted(w) if !w.is_finite() => Policy::Weighted(0.5),
-            Policy::Weighted(w) => Policy::Weighted(w.clamp(0.0, 1.0)),
-            other => other,
-        }
     }
 }
 
@@ -327,135 +281,125 @@ fn pick_k_by(
     filled
 }
 
-/// Predicted completion and energy of `work` on each live device, folding
-/// in the device's current availability.
-#[must_use]
-pub fn device_estimates(
-    devices: &[Device],
-    work: Work,
-    kind: TaskKind,
-    ready_at: Seconds,
-) -> Vec<Estimate> {
-    let mut out = Vec::with_capacity(devices.len());
-    device_estimates_into(devices, work, kind, ready_at, &mut out);
-    out
-}
-
-/// Allocation-free twin of [`device_estimates`]: fill `out` (cleared
-/// first), reusing its capacity. The event engine calls this once per
-/// placement with a per-runtime scratch buffer, so steady-state placement
-/// allocates nothing.
-pub fn device_estimates_into(
-    devices: &[Device],
-    work: Work,
-    kind: TaskKind,
-    ready_at: Seconds,
-    out: &mut Vec<Estimate>,
-) {
-    out.clear();
-    out.extend(devices.iter().map(|d| {
-        let start = ready_at.max(d.busy_until());
-        // One roofline evaluation per device: `busy_power * dur` is
-        // exactly `DeviceSpec::energy_for`, which would re-run
-        // `time_for` (two divisions) a second time.
-        let dur = d.spec.time_for(work, kind);
-        Estimate::new(start + dur, d.spec.busy_power * dur)
-    }));
-}
-
-/// Static (spec-only) choice, ignoring availability — used when comparing
-/// hardware configurations rather than scheduling live work.
-#[must_use]
-pub fn best_spec_for(
-    specs: &[DeviceSpec],
-    work: Work,
-    kind: TaskKind,
-    policy: Policy,
-) -> Option<usize> {
-    let estimates: Vec<Estimate> = specs
-        .iter()
-        .map(|s| Estimate::new(s.time_for(work, kind), s.energy_for(work, kind)))
-        .collect();
-    policy.sanitized().place(&estimates)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use legato_hw::device::DeviceId;
+    use crate::config::EngineConfig;
+    use legato_core::requirements::{Criticality, Requirements};
+    use legato_core::task::{AccessMode, TaskDescriptor};
+    use legato_hw::device::DeviceSpec;
 
-    fn devices() -> Vec<Device> {
+    fn specs() -> Vec<DeviceSpec> {
         vec![
-            Device::new(DeviceId(0), DeviceSpec::xeon_x86()),
-            Device::new(DeviceId(1), DeviceSpec::gtx1080()),
-            Device::new(DeviceId(2), DeviceSpec::fpga_kintex()),
-            Device::new(DeviceId(3), DeviceSpec::arm64()),
+            DeviceSpec::xeon_x86(),
+            DeviceSpec::gtx1080(),
+            DeviceSpec::fpga_kintex(),
+            DeviceSpec::arm64(),
         ]
+    }
+
+    /// The devices the engine places one `criticality` inference task
+    /// on under `policy`, primary replica first — `Scheduler::select_k`
+    /// over the live fleet's estimates.
+    fn placed(specs: Vec<DeviceSpec>, policy: Policy, criticality: Criticality) -> Vec<usize> {
+        let mut rt = EngineConfig::new()
+            .with_devices(specs)
+            .with_policy(policy)
+            .build()
+            .expect("valid policy");
+        rt.submit(
+            TaskDescriptor::named("nn")
+                .with_kind(TaskKind::Inference)
+                .with_work(Work::flops(66e9))
+                .with_requirements(Requirements::new().with_criticality(criticality)),
+            [(0u64, AccessMode::Out)],
+        );
+        let rep = rt.run().expect("devices present");
+        rep.placements[0].devices.to_vec()
+    }
+
+    fn pick(policy: Policy) -> usize {
+        placed(specs(), policy, Criticality::Normal)[0]
     }
 
     #[test]
     fn performance_picks_gpu_for_inference() {
-        let d = devices();
-        let w = Work::flops(66e9);
-        let idx = Policy::Performance
-            .choose(&d, w, TaskKind::Inference, Seconds::ZERO)
-            .unwrap();
-        assert_eq!(idx, 1, "GPU should win on speed");
+        assert_eq!(pick(Policy::Performance), 1, "GPU should win on speed");
     }
 
     #[test]
     fn energy_picks_fpga_for_inference() {
-        let d = devices();
-        let w = Work::flops(66e9);
-        let idx = Policy::Energy
-            .choose(&d, w, TaskKind::Inference, Seconds::ZERO)
-            .unwrap();
-        assert_eq!(idx, 2, "FPGA should win on energy");
+        assert_eq!(pick(Policy::Energy), 2, "FPGA should win on energy");
     }
 
     #[test]
-    fn weighted_interpolates() {
-        let d = devices();
-        let w = Work::flops(66e9);
-        let perf = Policy::Weighted(0.0)
-            .choose(&d, w, TaskKind::Inference, Seconds::ZERO)
-            .unwrap();
-        let energy = Policy::Weighted(1.0)
-            .choose(&d, w, TaskKind::Inference, Seconds::ZERO)
-            .unwrap();
-        assert_eq!(perf, 1);
-        assert_eq!(energy, 2);
-    }
-
-    #[test]
-    fn busy_device_loses_performance_race() {
-        let mut d = devices();
-        // Keep the GPU busy for a long time.
-        let (_s, _f) = d[1].execute(Seconds::ZERO, Work::flops(1e14), TaskKind::Inference);
-        let idx = Policy::Performance
-            .choose(&d, Work::flops(66e9), TaskKind::Inference, Seconds::ZERO)
-            .unwrap();
-        assert_ne!(idx, 1, "busy GPU should be skipped");
-    }
-
-    #[test]
-    fn rank_orders_all_devices() {
-        let d = devices();
-        let order = Policy::Energy.rank(&d, Work::flops(66e9), TaskKind::Inference, Seconds::ZERO);
-        assert_eq!(order.len(), 4);
-        assert_eq!(order[0], 2);
-        // Every index appears exactly once.
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3]);
+    fn best_spec_static_choice() {
+        // On an idle fleet only the specs decide.
+        let two = vec![DeviceSpec::xeon_x86(), DeviceSpec::fpga_kintex()];
+        assert_eq!(placed(two, Policy::Energy, Criticality::Normal), [1]);
     }
 
     #[test]
     fn empty_devices_gives_none() {
-        assert!(Policy::Performance
-            .choose(&[], Work::flops(1.0), TaskKind::Compute, Seconds::ZERO)
-            .is_none());
-        assert!(best_spec_for(&[], Work::flops(1.0), TaskKind::Compute, Policy::Energy).is_none());
+        assert!(Policy::Performance.place(&[]).is_none());
+        let mut none = [0usize; 2];
+        assert_eq!(Policy::Energy.select_k(&[], &mut none), 0);
+    }
+
+    #[test]
+    fn weighted_interpolates() {
+        assert_eq!(pick(Policy::Weighted(0.0)), 1);
+        assert_eq!(pick(Policy::Weighted(1.0)), 2);
+    }
+
+    #[test]
+    fn edp_balances() {
+        // EDP squares the delay advantage: the GPU's 4× speed edge beats
+        // the FPGA's 2× energy edge.
+        assert_eq!(pick(Policy::Edp), 1);
+    }
+
+    #[test]
+    fn busy_device_loses_performance_race() {
+        let mut rt = EngineConfig::new()
+            .with_devices(specs())
+            .build()
+            .expect("plain build");
+        // Keep the GPU busy for a long time, then place an independent
+        // task that is ready at the same moment.
+        for (region, flops) in [(0u64, 1e14), (1, 66e9)] {
+            rt.submit(
+                TaskDescriptor::named("nn")
+                    .with_kind(TaskKind::Inference)
+                    .with_work(Work::flops(flops)),
+                [(region, AccessMode::Out)],
+            );
+        }
+        let rep = rt.run().expect("devices present");
+        assert_eq!(rep.placements[0].devices[0], 1);
+        assert_ne!(
+            rep.placements[1].devices[0], 1,
+            "busy GPU should be skipped"
+        );
+    }
+
+    #[test]
+    fn rank_orders_all_devices() {
+        let (work, kind) = (Work::flops(66e9), TaskKind::Inference);
+        let estimates: Vec<Estimate> = specs()
+            .iter()
+            .map(|s| Estimate::new(s.time_for(work, kind), s.energy_for(work, kind)))
+            .collect();
+        let mut order = [0usize; 4];
+        assert_eq!(Policy::Energy.select_k(&estimates, &mut order), 4);
+        assert_eq!(order[0], 2);
+        // Every index appears exactly once.
+        let mut sorted = order;
+        sorted.sort_unstable();
+        assert_eq!(sorted, [0, 1, 2, 3]);
+        // A critical task's three replicas are that order's prefix.
+        let replicas = placed(specs(), Policy::Energy, Criticality::Critical);
+        assert_eq!(replicas, order[..3]);
     }
 
     #[test]
@@ -475,44 +419,14 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_weight_no_longer_panics_in_choose() {
-        let d = devices();
-        // Clamped to pure energy: same pick as Weighted(1.0).
-        let idx = Policy::Weighted(1.5)
-            .choose(&d, Work::flops(66e9), TaskKind::Inference, Seconds::ZERO)
-            .unwrap();
-        assert_eq!(idx, 2);
-        // Non-finite weights degrade to a balanced trade-off, not a panic.
-        let order = Policy::Weighted(f64::NAN).rank(
-            &d,
-            Work::flops(66e9),
-            TaskKind::Inference,
-            Seconds::ZERO,
-        );
-        assert_eq!(order.len(), 4);
-    }
-
-    #[test]
-    fn best_spec_static_choice() {
-        let specs = vec![DeviceSpec::xeon_x86(), DeviceSpec::fpga_kintex()];
-        let idx = best_spec_for(
-            &specs,
-            Work::flops(66e9),
-            TaskKind::Inference,
-            Policy::Energy,
-        )
-        .unwrap();
-        assert_eq!(idx, 1);
-    }
-
-    #[test]
-    fn edp_balances() {
-        let d = devices();
-        let idx = Policy::Edp
-            .choose(&d, Work::flops(66e9), TaskKind::Inference, Seconds::ZERO)
-            .unwrap();
-        // EDP squares the delay advantage: the GPU's 4× speed edge beats
-        // the FPGA's 2× energy edge.
-        assert_eq!(idx, 1);
+    fn out_of_range_weights_never_reach_a_runtime() {
+        for w in [1.5, -0.5, f64::NAN] {
+            let err = EngineConfig::new()
+                .with_devices(specs())
+                .with_policy(Policy::Weighted(w))
+                .build()
+                .unwrap_err();
+            assert!(matches!(err, RuntimeError::InvalidWeight(_)), "{w}: {err}");
+        }
     }
 }

@@ -239,8 +239,15 @@ pub(crate) struct SecurityState {
 
 impl Default for SecurityState {
     fn default() -> Self {
+        SecurityState::new(SecurityConfig::new())
+    }
+}
+
+impl SecurityState {
+    /// An inactive layer with the given cost model.
+    pub(crate) fn new(config: SecurityConfig) -> Self {
         SecurityState {
-            config: SecurityConfig::new(),
+            config,
             active: false,
             platforms: Vec::new(),
             enclaves: HashMap::new(),
@@ -253,9 +260,7 @@ impl Default for SecurityState {
             stats: SecurityStats::default(),
         }
     }
-}
 
-impl SecurityState {
     /// Activate the layer: instantiate one simulated [`Platform`] per
     /// TEE-capable device. Called when the first non-public task is
     /// submitted; idempotent.

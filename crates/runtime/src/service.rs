@@ -737,6 +737,29 @@ mod tests {
     }
 
     #[test]
+    fn configured_fault_probabilities_survive_restart() {
+        // The Service rebuilds its engine from the retained
+        // EngineConfig, so a fault model set there reaches every engine
+        // generation; every unreplicated result is silently corrupted.
+        let faulty = engine().with_fault_prob(0, 1.0).with_fault_prob(1, 1.0);
+        let mut svc = ServiceConfig::new(faulty).build().unwrap();
+        let a = svc.register(TenantSpec::new()).unwrap();
+        svc.submit(a, task(), [(0u64, AccessMode::Out)]).unwrap();
+        assert_eq!(svc.run().unwrap().stats.silent_corruptions, 1);
+
+        svc.restart().unwrap();
+        assert_eq!(svc.engine().fault_probs, [1.0, 1.0]);
+        svc.submit(a, task(), [(1u64, AccessMode::Out)]).unwrap();
+        let report = svc.run().unwrap();
+        assert!(!report.placements.is_empty());
+        assert!(report.placements.iter().all(|p| !p.correct));
+        assert_eq!(
+            report.stats.silent_corruptions,
+            report.placements.len() as u64
+        );
+    }
+
+    #[test]
     fn rejects_bad_tenant_specs() {
         let mut svc = ServiceConfig::new(engine()).build().unwrap();
         assert!(svc.register(TenantSpec::new().with_share(0.0)).is_err());

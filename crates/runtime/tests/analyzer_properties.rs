@@ -233,7 +233,11 @@ fn warn_only_mode_attaches_the_report() {
 /// the layer is strictly pay-for-what-you-use.
 #[test]
 fn analysis_off_attaches_nothing() {
-    let mut rt = Runtime::new(devices(), Policy::Performance, 1);
+    let mut rt = EngineConfig::new()
+        .with_devices(devices())
+        .with_seed(1)
+        .build()
+        .expect("valid engine config");
     rt.submit_with_deps(TaskDescriptor::named("a"), [(0u64, AccessMode::Out)], &[])
         .expect("no deps");
     rt.submit_with_deps(TaskDescriptor::named("b"), [(0u64, AccessMode::Out)], &[])

@@ -83,9 +83,9 @@ fn runtime(seed: u64, resilient: bool, churn: Option<ChurnConfig>, chains: &Chai
     if let Some(churn) = churn {
         cfg = cfg.with_churn(churn);
     }
-    let mut rt = cfg.build().expect("valid engine config");
-    rt.set_fault_prob(1, 0.4);
-    rt
+    cfg.with_fault_prob(1, 0.4)
+        .build()
+        .expect("valid engine config")
 }
 
 /// Drive `run()` to quiescence, tolerating per-task churn refusals: an

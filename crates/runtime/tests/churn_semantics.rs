@@ -8,7 +8,6 @@ use legato_core::requirements::{Requirements, SecurityLevel};
 use legato_core::task::{AccessMode, TaskDescriptor, TaskKind, Work};
 use legato_core::units::Seconds;
 use legato_hw::device::DeviceSpec;
-use legato_runtime::elastic::ElasticPool;
 use legato_runtime::{
     ChurnConfig, ChurnEvent, ChurnEventKind, ChurnTrace, DepartureKind, EngineConfig, Policy,
     PoolConfig, Runtime, RuntimeError,
@@ -172,12 +171,10 @@ fn expired_deferral_fails_the_task_cleanly() {
 }
 
 #[test]
-fn elastic_width_refits_when_churn_narrows_the_fleet() {
-    // A moldable kernel planned at width 3 on a 3-device fleet: one
-    // planned drain and one crash leave a single survivor, so the
-    // attached elastic pool must be re-fitted — twice — down to the
-    // surviving width instead of planning widths the fleet can no
-    // longer provide. A later arrival grows it back by one core.
+fn drain_crash_and_arrival_lose_no_task() {
+    // One planned drain and one crash leave a single survivor of a
+    // 3-device fleet; a later arrival widens it again. The survivor
+    // absorbs the crashed work and the arrival joins the schedule.
     let dur = task_duration();
     let trace = ChurnTrace::from_events(vec![
         ChurnEvent {
@@ -210,45 +207,17 @@ fn elastic_width_refits_when_churn_narrows_the_fleet() {
             DeviceSpec::xeon_x86(),
         ])
         .with_policy(Policy::Performance)
-        .with_churn(
-            ChurnConfig::new(trace).with_elastic_pool(ElasticPool::new(3).expect("non-zero width")),
-        )
+        .with_churn(ChurnConfig::new(trace))
         .build()
         .expect("valid engine config");
     submit_independent(&mut rt, 9);
     let report = rt.run().expect("the survivor absorbs the churn");
     let churn = report.churn.expect("churn configured");
     assert_eq!(churn.departures, 2);
-    assert_eq!(
-        churn.width_refits, 2,
-        "each narrowing departure re-fits the elastic width once"
-    );
-    let pool = rt.elastic_pool().expect("elastic pool attached");
-    assert_eq!(
-        pool.cores(),
-        2,
-        "shrunk to the lone survivor, then grown by the arrival"
-    );
-    assert!(report.failed.is_empty(), "no task lost to the re-fit");
-}
-
-#[test]
-fn elastic_width_is_untouched_without_narrowing_churn() {
-    // Zero churn events: the pool rides along unchanged and the refit
-    // counter stays at its default.
-    let mut rt = EngineConfig::new()
-        .with_devices(vec![DeviceSpec::xeon_x86(), DeviceSpec::xeon_x86()])
-        .with_policy(Policy::Performance)
-        .with_churn(
-            ChurnConfig::new(ChurnTrace::new())
-                .with_elastic_pool(ElasticPool::new(4).expect("non-zero width")),
-        )
-        .build()
-        .expect("valid engine config");
-    submit_independent(&mut rt, 4);
-    let report = rt.run().expect("nothing churns");
-    assert_eq!(report.churn.expect("churn configured").width_refits, 0);
-    assert_eq!(rt.elastic_pool().expect("pool attached").cores(), 4);
+    assert_eq!(churn.crashes, 1);
+    assert_eq!(churn.arrivals, 1);
+    assert!(report.failed.is_empty(), "no task lost to the churn");
+    assert_eq!(report.placements.len(), 9);
 }
 
 #[test]

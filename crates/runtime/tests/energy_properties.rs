@@ -4,8 +4,9 @@
 //!
 //! * **Pay-for-what-you-use** — an [`EngineConfig`] built without an
 //!   [`EnergyConfig`] produces a runtime bit-identical to one built with
-//!   the plain [`Runtime::new`] constructor: same report, no energy
-//!   stats. The energy layer costs nothing until it is switched on.
+//!   every non-energy default spelled out (nominal operating points,
+//!   fault probability 0, 3 retries): same report, no energy stats. The
+//!   energy layer costs nothing until it is switched on.
 //! * **The ladder is a real trade-off** — stepping every device down its
 //!   default DVFS ladder never increases the run's total energy and
 //!   never decreases its makespan on the same seeded graph. Derating is
@@ -58,14 +59,24 @@ fn submit(rt: &mut Runtime, chains: &ChainSpec) {
 }
 
 proptest! {
-    /// No [`EnergyConfig`] ⇒ the builder is a pure repackaging of
-    /// `Runtime::new`: bit-identical report, and no energy stats.
+    /// No [`EnergyConfig`] ⇒ the builder's defaults are nominal
+    /// operating points, fault probability 0 and 3 retries: spelling
+    /// them out yields a bit-identical report, and no energy stats.
     #[test]
-    fn builder_without_energy_matches_runtime_new(
+    fn builder_without_energy_matches_explicit_defaults(
         chains in chains_strategy(),
         seed in 0u64..300,
     ) {
-        let mut plain = Runtime::new(devices(), Policy::Performance, seed);
+        let mut plain = (0..devices().len())
+            .fold(
+                EngineConfig::new()
+                    .with_devices(devices())
+                    .with_seed(seed)
+                    .with_max_retries(3),
+                |cfg, d| cfg.with_fault_prob(d, 0.0),
+            )
+            .build()
+            .expect("valid engine config");
         submit(&mut plain, &chains);
         let plain_report = plain.run().expect("devices present");
 
@@ -144,9 +155,9 @@ proptest! {
                 .with_seed(seed)
                 .with_max_retries(1)
                 .with_energy(energy)
+                .with_fault_prob(1, 0.3)
                 .build()
                 .expect("valid engine config");
-            rt.set_fault_prob(1, 0.3);
             submit(&mut rt, &chains);
             rt.run().expect("devices present")
         };

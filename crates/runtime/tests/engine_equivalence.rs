@@ -9,12 +9,14 @@
 //!   `submit()`/`step()` waves produces the identical [`RunReport`] and
 //!   rollback trace as `run()` over the same waves, with and without
 //!   resilience enabled (checkpoints, rollbacks and all).
-//! * **Sweep-era semantics on serial chains** — on a single dependency
-//!   chain the engine and the legacy sweep make the same placement at
-//!   the same simulated moment, so their placements agree task by task
-//!   even under an active fault model; this anchors the engine to the
-//!   executor semantics it replaced wherever the two are defined to
-//!   coincide.
+//! * **Closed form on serial chains** — fault-free, every device is
+//!   idle whenever the next chain task becomes ready, so each task lands
+//!   on the policy's top-`k` devices for its own estimates and the
+//!   chain runs back to back: placements, starts, finishes and makespan
+//!   follow exactly. Under an active fault model every task is still
+//!   accounted for exactly once (placed, failed or poisoned), replica
+//!   and retry counters match the chain, and no task starts before its
+//!   predecessor finished.
 //! * **Report shape** — placements come out sorted by task id with at
 //!   most one outcome per task, whatever order completions happened in
 //!   (the outcome log is indexed, not sorted; this pins the invariant).
@@ -30,11 +32,14 @@
 
 use std::collections::HashMap;
 
+use legato_core::graph::TaskState;
 use legato_core::requirements::{Criticality, Requirements, SecurityLevel};
-use legato_core::task::{AccessMode, RegionId, TaskDescriptor, Work};
+use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskId, TaskKind, Work};
 use legato_core::units::{Bytes, Seconds};
 use legato_hw::device::DeviceSpec;
-use legato_runtime::{EngineConfig, Policy, ResilienceConfig, RunReport, Runtime, SecurityConfig};
+use legato_runtime::{
+    EngineConfig, Estimate, Policy, ResilienceConfig, RunReport, Runtime, Scheduler, SecurityConfig,
+};
 use proptest::prelude::*;
 
 /// Chains → tasks → (flops, criticality selector, security selector).
@@ -117,9 +122,9 @@ fn runtime(seed: u64, resilient: bool, chains: &ChainSpec) -> Runtime {
                 .with_max_rollbacks(10_000),
         );
     }
-    let mut rt = cfg.build().expect("valid engine config");
-    rt.set_fault_prob(1, 0.4);
-    rt
+    cfg.with_fault_prob(1, 0.4)
+        .build()
+        .expect("valid engine config")
 }
 
 /// Split one chain spec into two submission waves at `split` tasks.
@@ -184,33 +189,116 @@ proptest! {
         prop_assert!(batched_report.placements.len() <= batched.graph().len());
     }
 
-    /// On a single serial chain the event engine reproduces the legacy
-    /// sweep bit for bit — placements, makespan, statistics — even with
-    /// the fault model active: with one task in flight at a time both
-    /// executors make the same placement at the same moment and consume
-    /// the fault stream in the same order. This pins the refactored
-    /// engine to `run_sweep`-era semantics where the two executors are
-    /// defined to coincide. (Public tasks only: the sweep deliberately
-    /// ignores the security layer, so the executors are only defined to
-    /// coincide on security-free workloads.)
+    /// Fault-free, a serial chain follows a closed form task by task:
+    /// every device is idle when the next task becomes ready at the
+    /// previous task's finish, so the task runs on the policy's top-`k`
+    /// devices for its own estimates (finish = ready + duration, energy =
+    /// busy power × duration), starts at that ready time, and joins
+    /// when its slowest replica finishes. The makespan is the sum of
+    /// those joined durations.
     #[test]
-    fn engine_matches_sweep_on_serial_chains(
+    fn serial_chain_matches_closed_form(
         chain in prop::collection::vec((5e11f64..4e12, 0u8..3, Just(0u8)), 1..16),
+        policy in prop_oneof![
+            Just(Policy::Performance),
+            Just(Policy::Energy),
+            Just(Policy::Edp),
+            (0.0f64..=1.0).prop_map(Policy::Weighted),
+        ],
         seed in 0u64..300,
     ) {
+        let mut rt = EngineConfig::new()
+            .with_devices(devices())
+            .with_policy(policy)
+            .with_seed(seed)
+            .build()
+            .expect("valid engine config");
         let chains = vec![chain];
-        let mut engine_rt = runtime(seed, false, &chains);
-        submit_wave(&mut engine_rt, &chains);
-        let engine = engine_rt.run().expect("devices present");
+        submit_wave(&mut rt, &chains);
+        let report = rt.run().expect("devices present");
+        prop_assert!(report.is_correct());
+        prop_assert_eq!(report.placements.len(), chains[0].len());
 
-        let mut sweep_rt = runtime(seed, false, &chains);
-        submit_wave(&mut sweep_rt, &chains);
-        let sweep = sweep_rt.run_sweep().expect("devices present");
+        let specs = devices();
+        let mut ready = Seconds::ZERO;
+        for (outcome, &(flops, crit, _)) in report.placements.iter().zip(&chains[0]) {
+            let work = Work::flops(flops);
+            let durations: Vec<Seconds> =
+                specs.iter().map(|s| s.time_for(work, TaskKind::Compute)).collect();
+            let estimates: Vec<Estimate> = specs
+                .iter()
+                .zip(&durations)
+                .map(|(s, &d)| Estimate::new(ready + d, s.busy_power * d))
+                .collect();
+            let k = criticality(crit).replica_count().min(specs.len());
+            let mut best = [0usize; 3];
+            prop_assert_eq!(policy.select_k(&estimates, &mut best[..k]), k);
+            prop_assert_eq!(outcome.devices.as_slice(), &best[..k]);
+            prop_assert_eq!(outcome.start, ready);
+            let finish = best[..k]
+                .iter()
+                .map(|&d| ready + durations[d])
+                .fold(Seconds::ZERO, Seconds::max);
+            prop_assert_eq!(outcome.finish, finish);
+            ready = finish;
+        }
+        prop_assert_eq!(report.makespan, ready);
+    }
 
-        prop_assert_eq!(engine.placements, sweep.placements);
-        prop_assert_eq!(engine.makespan, sweep.makespan);
-        prop_assert_eq!(engine.failed, sweep.failed);
-        prop_assert_eq!(engine.stats, sweep.stats);
+    /// Under an active fault model (no resilience) serial chains keep
+    /// their accounting identities: every task is placed, failed or
+    /// poisoned exactly once; every claimed task charges its replica
+    /// count; each detected fault is either retried or fails its task;
+    /// and no task starts before its predecessor's accepted finish.
+    #[test]
+    fn faulty_chains_keep_replication_accounting(
+        chains in public_chains_strategy(),
+        seed in 0u64..300,
+    ) {
+        let mut rt = runtime(seed, false, &chains);
+        submit_wave(&mut rt, &chains);
+        let report = rt.run().expect("devices present");
+        let outcome = |id: TaskId| report.placements.iter().find(|p| p.task == id);
+
+        let (mut unreplicated, mut replica_executions) = (0u64, 0u64);
+        let mut id = 0u64;
+        for chain in &chains {
+            let mut predecessor_finish = None;
+            for &(_, crit, _) in chain {
+                let task = TaskId(id);
+                id += 1;
+                let placed = outcome(task);
+                let failed = report.failed.contains(&task);
+                let state = rt.graph().state(task).expect("submitted");
+                let poisoned = state == TaskState::Poisoned;
+                prop_assert!(
+                    u8::from(placed.is_some()) + u8::from(failed) + u8::from(poisoned) == 1,
+                    "{} in state {:?}",
+                    task,
+                    state
+                );
+                if poisoned {
+                    continue;
+                }
+                match criticality(crit).replica_count() {
+                    1 => unreplicated += 1,
+                    k => replica_executions += k as u64 - 1,
+                }
+                if let Some(p) = placed {
+                    if let Some(before) = predecessor_finish {
+                        prop_assert!(p.start >= before, "{} starts before its predecessor", task);
+                    }
+                    predecessor_finish = Some(p.finish);
+                }
+            }
+        }
+        prop_assert_eq!(report.stats.unreplicated, unreplicated);
+        prop_assert_eq!(report.stats.replica_executions, replica_executions);
+        prop_assert!(report.stats.retries <= report.stats.detected);
+        prop_assert_eq!(
+            report.stats.detected,
+            report.stats.retries + report.failed.len() as u64
+        );
     }
 
     /// With confidential tasks in the mix (sealed-io and enclave-only,
@@ -330,8 +418,10 @@ proptest! {
                     .with_max_rollbacks(10_000),
             );
         }
-        let mut plain = plain_cfg.build().expect("valid engine config");
-        plain.set_fault_prob(1, 0.4);
+        let mut plain = plain_cfg
+            .with_fault_prob(1, 0.4)
+            .build()
+            .expect("valid engine config");
         submit_wave(&mut plain, &chains);
         let plain_report = plain.run().expect("devices present");
 

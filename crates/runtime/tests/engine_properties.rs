@@ -1,28 +1,27 @@
 //! Property-based tests of the event-driven execution engine.
 //!
-//! Two contracts from the engine refactor:
+//! Two contracts:
 //!
 //! * **Determinism** — the same seed and the same graph produce an
 //!   identical [`RunReport`], bit for bit, however the event heap
 //!   interleaves placements (`time, seq` ordering is total).
-//! * **Chain dominance** — on dependency-chain graphs the engine never
-//!   does worse than the legacy topological sweep: on a serial chain its
-//!   makespan never exceeds the sweep's (the executors agree task by
-//!   task), and on unions of chains its busy energy never exceeds the
-//!   sweep's under the energy policy (per-task device choice is
-//!   availability-independent there, so reordering cannot cost joules).
-//!   Makespan on chain *unions* is deliberately not claimed: at low load
-//!   submission order doubles as a chain-depth priority, and greedy
-//!   executors can beat each other in either direction — the wide-graph
-//!   scenarios in `legato-bench` cover the saturated regime where the
-//!   engine wins.
+//! * **Closed-form bounds on chains** — fault-free, a task with `k`
+//!   replicas can never join before its `k`-th fastest device finishes,
+//!   and greedy earliest-finish placement never leaves the fleet idle
+//!   behind a ready task, so under the performance policy the longest
+//!   chain's sum of those durations bounds the makespan from below and
+//!   the sum over every task bounds it from above. Under the energy
+//!   policy a device's energy for a task does not depend on when it
+//!   runs, so busy energy is exactly the sum over tasks of the `k`
+//!   cheapest per-device energies, whatever order the chains
+//!   interleave in.
 //!
 //! [`RunReport`]: legato_runtime::RunReport
 
 use legato_core::requirements::{Criticality, Requirements};
-use legato_core::task::{AccessMode, TaskDescriptor, Work};
+use legato_core::task::{AccessMode, TaskDescriptor, TaskKind, Work};
 use legato_hw::device::DeviceSpec;
-use legato_runtime::{Policy, Runtime};
+use legato_runtime::{EngineConfig, Policy, Runtime};
 use proptest::prelude::*;
 
 /// Chains → tasks → (flops, criticality selector).
@@ -41,15 +40,38 @@ fn devices() -> Vec<DeviceSpec> {
     ]
 }
 
+fn criticality(crit: u8) -> Criticality {
+    match crit {
+        0 => Criticality::Normal,
+        1 => Criticality::High,
+        _ => Criticality::Critical,
+    }
+}
+
+/// A fault-free runtime over [`devices`].
+fn runtime(policy: Policy) -> Runtime {
+    EngineConfig::new()
+        .with_devices(devices())
+        .with_policy(policy)
+        .with_seed(1)
+        .build()
+        .expect("valid engine config")
+}
+
+/// The `k` smallest values of `f(spec)` over the fleet, where `k` is the
+/// replica count of a task of criticality selector `crit`.
+fn k_smallest(crit: u8, f: impl Fn(&DeviceSpec) -> f64) -> Vec<f64> {
+    let mut values: Vec<f64> = devices().iter().map(f).collect();
+    values.sort_by(f64::total_cmp);
+    values.truncate(criticality(crit).replica_count().min(values.len()));
+    values
+}
+
 /// Submit every chain; chain `c` serializes on its private region `c`.
 fn build(rt: &mut Runtime, chains: &ChainSpec) {
     for (c, chain) in chains.iter().enumerate() {
         for &(flops, crit) in chain {
-            let criticality = match crit {
-                0 => Criticality::Normal,
-                1 => Criticality::High,
-                _ => Criticality::Critical,
-            };
+            let criticality = criticality(crit);
             rt.submit(
                 TaskDescriptor::named("t")
                     .with_work(Work::flops(flops))
@@ -66,54 +88,65 @@ proptest! {
     #[test]
     fn engine_is_deterministic(chains in chains_strategy(), seed in 0u64..1000) {
         let run = || {
-            let mut rt = Runtime::new(devices(), Policy::Weighted(0.5), seed);
-            rt.set_fault_prob(1, 0.2);
+            let mut rt = EngineConfig::new()
+                .with_devices(devices())
+                .with_policy(Policy::Weighted(0.5))
+                .with_seed(seed)
+                .with_fault_prob(1, 0.2)
+                .build()
+                .expect("valid engine config");
             build(&mut rt, &chains);
             rt.run().expect("devices present")
         };
         prop_assert_eq!(run(), run());
     }
 
-    /// On a dependency chain the engine's makespan never exceeds the
-    /// sweep's under the performance policy (fault-free): with one task
-    /// ready at a time, both executors make the same placement at the
-    /// same simulated moment.
+    /// Fault-free under the performance policy, each chain's sum of
+    /// `k`-th fastest durations ≤ makespan ≤ the same sum over every
+    /// task. On a single chain the two bounds meet.
     #[test]
-    fn engine_makespan_never_exceeds_sweep_on_a_chain(
-        chain in prop::collection::vec((1e9f64..8e10, 0u8..3), 1..24)
-    ) {
-        let chains = vec![chain];
-        let mut engine_rt = Runtime::new(devices(), Policy::Performance, 1);
-        build(&mut engine_rt, &chains);
-        let engine = engine_rt.run().expect("devices present");
-        let mut sweep_rt = Runtime::new(devices(), Policy::Performance, 1);
-        build(&mut sweep_rt, &chains);
-        let sweep = sweep_rt.run_sweep().expect("devices present");
+    fn performance_makespan_is_bracketed_by_closed_form_bounds(chains in chains_strategy()) {
+        let mut rt = runtime(Policy::Performance);
+        build(&mut rt, &chains);
+        let report = rt.run().expect("devices present");
+        let kth_fastest = |&(flops, crit): &(f64, u8)| {
+            let times = k_smallest(crit, |s| s.time_for(Work::flops(flops), TaskKind::Compute).0);
+            times[times.len() - 1]
+        };
+        let critical_path = chains
+            .iter()
+            .map(|chain| chain.iter().map(kth_fastest).sum::<f64>())
+            .fold(0.0, f64::max);
+        let serial: f64 = chains.iter().flatten().map(kth_fastest).sum();
+        let slack = 1e-9 * serial;
+        let makespan = report.makespan.0;
+        prop_assert!(report.is_correct());
         prop_assert!(
-            engine.makespan.0 <= sweep.makespan.0 + 1e-9,
-            "engine {} must not exceed sweep {}",
-            engine.makespan,
-            sweep.makespan
+            critical_path - slack <= makespan && makespan <= serial + slack,
+            "critical path {critical_path} <= makespan {makespan} <= serial {serial}"
         );
     }
 
-    /// On dependency-chain graphs the engine's busy energy never exceeds
-    /// the sweep's under the energy policy (fault-free): both pick each
-    /// task's energy-optimal device, so the engine's reordering cannot
-    /// cost joules.
+    /// Fault-free under the energy policy, busy energy is the sum over
+    /// tasks of the `k` cheapest per-device energies.
     #[test]
-    fn engine_energy_never_exceeds_sweep_on_chains(chains in chains_strategy()) {
-        let mut engine_rt = Runtime::new(devices(), Policy::Energy, 1);
-        build(&mut engine_rt, &chains);
-        let engine = engine_rt.run().expect("devices present");
-        let mut sweep_rt = Runtime::new(devices(), Policy::Energy, 1);
-        build(&mut sweep_rt, &chains);
-        let sweep = sweep_rt.run_sweep().expect("devices present");
+    fn energy_policy_busy_energy_is_the_sum_of_per_task_minima(chains in chains_strategy()) {
+        let mut rt = runtime(Policy::Energy);
+        build(&mut rt, &chains);
+        let report = rt.run().expect("devices present");
+        let expected: f64 = chains
+            .iter()
+            .flatten()
+            .map(|&(flops, crit)| {
+                k_smallest(crit, |s| s.energy_for(Work::flops(flops), TaskKind::Compute).0)
+                    .iter()
+                    .sum::<f64>()
+            })
+            .sum();
+        let busy = report.busy_energy.0;
         prop_assert!(
-            engine.busy_energy.0 <= sweep.busy_energy.0 + 1e-6,
-            "engine {} J must not exceed sweep {} J",
-            engine.busy_energy,
-            sweep.busy_energy
+            (busy - expected).abs() <= 1e-9 * expected,
+            "busy energy {busy} J, closed form {expected} J"
         );
     }
 }

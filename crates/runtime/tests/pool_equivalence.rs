@@ -126,9 +126,9 @@ fn config(seed: u64, resilient: bool, pol: Policy, chains: &ChainSpec) -> Engine
 }
 
 fn build(cfg: EngineConfig) -> Runtime {
-    let mut rt = cfg.build().expect("valid engine config");
-    rt.set_fault_prob(1, 0.4);
-    rt
+    cfg.with_fault_prob(1, 0.4)
+        .build()
+        .expect("valid engine config")
 }
 
 proptest! {

@@ -65,9 +65,9 @@ proptest! {
                 .with_resilience(
                     ResilienceConfig::new(Seconds(5.0)).with_region_sizes(sizes(&chains)),
                 )
+                .with_fault_prob(1, 0.6)
                 .build()
                 .expect("valid engine config");
-            rt.set_fault_prob(1, 0.6);
             build(&mut rt, &chains);
             let report = rt.run().expect("devices present");
             (report, rt.rollback_trace().to_vec())
@@ -93,9 +93,9 @@ proptest! {
                     .with_region_sizes(sizes(&chains))
                     .with_max_rollbacks(10_000),
             )
+            .with_fault_prob(1, 0.5)
             .build()
             .expect("valid engine config");
-        rt.set_fault_prob(1, 0.5);
         build(&mut rt, &chains);
         let report = rt.run().expect("devices present");
         prop_assert!(report.failed.is_empty(), "stats: {:?}", report.resilience);

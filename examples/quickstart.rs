@@ -10,7 +10,7 @@ use legato::fti::{CheckpointLevel, Fti, FtiConfig};
 use legato::hw::device::DeviceSpec;
 use legato::hw::memory::{AddrSpace, MemoryManager};
 use legato::hw::storage::{StorageDevice, StorageTier};
-use legato::runtime::{Policy, Runtime};
+use legato::runtime::{EngineConfig, Policy};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A heterogeneous node: CPU + GPU + FPGA, as hosted by a RECS|BOX.
@@ -25,7 +25,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("performance", Policy::Performance),
         ("energy", Policy::Energy),
     ] {
-        let mut rt = Runtime::new(devices.clone(), policy, 42);
+        let mut rt = EngineConfig::new()
+            .with_devices(devices.clone())
+            .with_policy(policy)
+            .with_seed(42)
+            .build()
+            .expect("valid engine config");
         // A tiny pipeline: preprocess -> 4x inference -> aggregate,
         // expressed purely through data-access annotations.
         rt.submit(

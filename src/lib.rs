@@ -21,16 +21,16 @@
 //! ## Quick taste
 //!
 //! ```
-//! use legato::runtime::{Policy, Runtime};
+//! use legato::runtime::{EngineConfig, Policy};
 //! use legato::core::task::{AccessMode, TaskDescriptor, TaskKind, Work};
 //! use legato::hw::device::DeviceSpec;
 //!
 //! # fn main() -> Result<(), legato::runtime::RuntimeError> {
-//! let mut rt = Runtime::new(
-//!     vec![DeviceSpec::gtx1080(), DeviceSpec::fpga_kintex()],
-//!     Policy::Energy,
-//!     1,
-//! );
+//! let mut rt = EngineConfig::new()
+//!     .with_devices(vec![DeviceSpec::gtx1080(), DeviceSpec::fpga_kintex()])
+//!     .with_policy(Policy::Energy)
+//!     .with_seed(1)
+//!     .build()?;
 //! rt.submit(
 //!     TaskDescriptor::named("infer")
 //!         .with_kind(TaskKind::Inference)

@@ -10,7 +10,7 @@ use legato::hw::device::DeviceSpec;
 use legato::hw::memory::{AddrSpace, MemoryManager};
 use legato::hw::recs::RecsBox;
 use legato::hw::storage::{StorageDevice, StorageTier};
-use legato::runtime::{Policy, Runtime};
+use legato::runtime::{EngineConfig, Policy};
 
 /// An undervolted FPGA corrupts BRAM-resident data; the task runtime's
 /// triple replication masks the resulting wrong answers. Hardware layer →
@@ -30,16 +30,17 @@ fn undervolted_fpga_faults_are_masked_by_replication() {
     // Translate the observed corruption into a per-task fault probability
     // and let the runtime replicate over it.
     let fault_prob = 0.3;
-    let mut rt = Runtime::new(
-        vec![
+    let mut rt = EngineConfig::new()
+        .with_devices(vec![
             DeviceSpec::xeon_x86(),
             DeviceSpec::gtx1080(),
             DeviceSpec::fpga_kintex(),
-        ],
-        Policy::Performance,
-        9,
-    );
-    rt.set_fault_prob(2, fault_prob); // the undervolted FPGA
+        ])
+        .with_policy(Policy::Performance)
+        .with_seed(9)
+        .with_fault_prob(2, fault_prob) // the undervolted FPGA
+        .build()
+        .expect("valid engine config");
     for i in 0..10u64 {
         rt.submit(
             TaskDescriptor::named(format!("critical-{i}"))
@@ -123,7 +124,12 @@ fn recs_box_modules_feed_the_runtime() {
     assert_eq!(specs.len(), 6);
 
     let run = |policy| {
-        let mut rt = Runtime::new(specs.clone(), policy, 3);
+        let mut rt = EngineConfig::new()
+            .with_devices(specs.clone())
+            .with_policy(policy)
+            .with_seed(3)
+            .build()
+            .expect("valid engine config");
         for i in 0..12u64 {
             rt.submit(
                 TaskDescriptor::named("job").with_work(Work::flops(2e9)),
@@ -137,85 +143,48 @@ fn recs_box_modules_feed_the_runtime() {
     assert!(green.busy_energy.0 < perf.busy_energy.0);
 }
 
-/// The event-driven engine strictly beats the legacy topological sweep on
-/// wide graphs (≥ 1k tasks, fan-out/fan-in) under the same policy: on the
-/// saturating scenario the readiness-order tail win, on the straggler
-/// scenario a decisive interleaving win. Core ready-queue → engine →
-/// scheduler trait, end to end.
+/// On both wide reference graphs (≥ 1k tasks, fan-out/fan-in) the
+/// event-driven engine reproduces its exact fault-free makespan (pinned
+/// bit for bit; runs are deterministic) inside the closed-form bounds:
+/// no schedule beats the critical path of fastest durations, and greedy
+/// placement never exceeds the serial sum of per-task durations. Core
+/// ready-queue → engine → scheduler trait, end to end.
 #[test]
-fn event_engine_beats_topological_sweep_on_wide_graphs() {
-    use legato_bench::experiments::engine::{compare, Scenario};
-
-    let wide = compare(Scenario::reference_wide(), Policy::Performance, 42);
-    assert!(wide.tasks >= 1000, "wide graph too small: {}", wide.tasks);
-    assert!(
-        wide.engine.makespan < wide.sweep.makespan,
-        "engine must strictly beat the sweep: {} vs {}",
-        wide.engine.makespan,
-        wide.sweep.makespan
-    );
-
-    let straggler = compare(Scenario::reference_straggler(), Policy::Weighted(0.5), 42);
-    assert!(straggler.tasks >= 1000);
-    assert!(
-        straggler.speedup() > 1.3,
-        "straggler interleaving should be a decisive win, got {:.3}",
-        straggler.speedup()
-    );
-}
-
-/// The engine must not only produce better schedules — it must *run* at
-/// least as fast as the legacy sweep it replaced (the perf-PR contract:
-/// infrastructure overhead must not masquerade as scheduling quality).
-/// Wall-clock comparison with generous slack (best-of-N against a 1.5×
-/// budget) so a noisy CI worker cannot flake it: the engine currently
-/// beats the sweep outright on both reference scenarios, and this only
-/// fails again if the event machinery regresses far past parity.
-#[test]
-// Wall-clock measurement of host performance — the one legitimate use of
-// `Instant` under the determinism discipline (clippy.toml).
-#[allow(clippy::disallowed_methods)]
-fn event_engine_overhead_is_not_worse_than_sweep() {
-    use legato_bench::experiments::engine::Scenario;
+fn event_engine_reproduces_pinned_makespans_on_wide_graphs() {
+    use legato_bench::experiments::engine::{MakespanBounds, Scenario};
     use legato_bench::experiments::goals;
-    use std::time::Instant;
 
-    let mut timings = Vec::new();
-    for (scenario, policy) in [
-        (Scenario::reference_wide(), Policy::Performance),
-        (Scenario::reference_straggler(), Policy::Weighted(0.5)),
+    for (scenario, policy, makespan) in [
+        (
+            Scenario::reference_wide(),
+            Policy::Performance,
+            13.084341132953236,
+        ),
+        (
+            Scenario::reference_straggler(),
+            Policy::Weighted(0.5),
+            30.29919451448777,
+        ),
     ] {
-        let mut engine_best = f64::INFINITY;
-        let mut sweep_best = f64::INFINITY;
-        for _ in 0..5 {
-            let mut rt = Runtime::new(goals::reference_devices(), policy, 42);
-            scenario.build(&mut rt, 42);
-            let t0 = Instant::now();
-            // Timing loop: only the wall clock matters, not the report.
-            let _ = rt.run().expect("devices present");
-            engine_best = engine_best.min(t0.elapsed().as_secs_f64());
-
-            let mut rt = Runtime::new(goals::reference_devices(), policy, 42);
-            scenario.build(&mut rt, 42);
-            let t1 = Instant::now();
-            let _ = rt.run_sweep().expect("devices present");
-            sweep_best = sweep_best.min(t1.elapsed().as_secs_f64());
-        }
-        timings.push((scenario, engine_best, sweep_best));
-    }
-    // The release-profile benches show the engine at or below the
-    // sweep; this guard only has to catch a regression far past parity.
-    // Debug builds (plain `cargo test`) optimize the two executors
-    // differently and run on noisier footing, so they get extra slack —
-    // the point is a tripwire, not a tight gate (BENCH_runtime.json and
-    // the nightly compare job are the precise instruments).
-    let slack = if cfg!(debug_assertions) { 2.5 } else { 1.5 };
-    for (scenario, engine_best, sweep_best) in timings {
-        assert!(
-            engine_best <= sweep_best * slack,
-            "event engine must stay within {slack}x of the sweep's wall-clock \
-             on {scenario:?}: engine {engine_best:.6}s vs sweep {sweep_best:.6}s"
-        );
+        let mut rt = EngineConfig::new()
+            .with_devices(goals::reference_devices())
+            .with_policy(policy)
+            .with_seed(42)
+            .build()
+            .expect("valid engine config");
+        let tasks = scenario.build(&mut rt, 42);
+        assert!(tasks >= 1000, "wide graph too small: {tasks}");
+        let bounds = MakespanBounds::of(&rt);
+        let report = rt.run().expect("devices present");
+        assert_eq!(report.placements.len(), tasks);
+        assert_eq!(report.makespan.0, makespan, "{scenario:?}");
+        let upper = if policy == Policy::Performance {
+            bounds.serial_fastest
+        } else {
+            bounds.serial_slowest
+        };
+        assert!(bounds.critical_path <= report.makespan, "{bounds:?}");
+        assert!(report.makespan <= upper, "{bounds:?}");
     }
 }
 
@@ -223,11 +192,12 @@ fn event_engine_overhead_is_not_worse_than_sweep() {
 /// the in-flight schedule and complete with the same guarantees.
 #[test]
 fn streaming_submission_into_inflight_run() {
-    let mut rt = Runtime::new(
-        vec![DeviceSpec::xeon_x86(), DeviceSpec::gtx1080()],
-        Policy::Performance,
-        5,
-    );
+    let mut rt = EngineConfig::new()
+        .with_devices(vec![DeviceSpec::xeon_x86(), DeviceSpec::gtx1080()])
+        .with_policy(Policy::Performance)
+        .with_seed(5)
+        .build()
+        .expect("valid engine config");
     for i in 0..4u64 {
         rt.submit(
             TaskDescriptor::named(format!("wave0-{i}")).with_work(Work::flops(2e10)),
@@ -373,11 +343,12 @@ fn enclave_tasks_stay_on_tee_devices_and_hardware_crypto_cuts_the_premium() {
 
     // An enclave-only task with no TEE device anywhere is a hard error,
     // never a silent downgrade.
-    let mut no_tee = Runtime::new(
-        vec![DeviceSpec::gtx1080(), DeviceSpec::fpga_kintex()],
-        Policy::Performance,
-        42,
-    );
+    let mut no_tee = EngineConfig::new()
+        .with_devices(vec![DeviceSpec::gtx1080(), DeviceSpec::fpga_kintex()])
+        .with_policy(Policy::Performance)
+        .with_seed(42)
+        .build()
+        .expect("valid engine config");
     no_tee.submit(
         TaskDescriptor::named("secret").with_requirements(
             legato::core::requirements::Requirements::new().with_security(SecurityLevel::Enclave),

@@ -12,7 +12,7 @@ use legato::heats::{Heats, TaskRequest};
 use legato::hw::device::DeviceSpec;
 use legato::hw::Group;
 use legato::mirror::geometry::BBox;
-use legato::runtime::{Policy, Runtime};
+use legato::runtime::{EngineConfig, Policy};
 use legato::secure::Platform;
 
 #[test]
@@ -45,7 +45,12 @@ fn fti_reed_solomon_constructs() {
 
 #[test]
 fn runtime_constructs_and_runs_empty() {
-    let rt = Runtime::new(vec![DeviceSpec::gtx1080()], Policy::Energy, 1);
+    let rt = EngineConfig::new()
+        .with_devices(vec![DeviceSpec::gtx1080()])
+        .with_policy(Policy::Energy)
+        .with_seed(1)
+        .build()
+        .expect("valid engine config");
     drop(rt);
 }
 
